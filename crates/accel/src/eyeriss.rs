@@ -151,7 +151,7 @@ mod tests {
             .with_rank_extent("Q", 5)
             .with_rank_extent("R", 2)
             .with_rank_extent("S", 2);
-        let report = sim.run(&[i.clone(), f]).unwrap();
+        let report = sim.run_data(&[&i.clone().into(), &f.into()]).unwrap();
         let o = report.final_output().unwrap();
         // 2×2 box filter: O[p,q] = I[p,q]+I[p,q+1]+I[p+1,q]+I[p+1,q+1].
         for p in 0..5u64 {

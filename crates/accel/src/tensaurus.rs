@@ -167,7 +167,7 @@ mod tests {
             .build()
             .unwrap();
         let sim = Simulator::new(spec()).unwrap();
-        let report = sim.run(&[t, b, a]).unwrap();
+        let report = sim.run_data(&[&t.into(), &b.into(), &a.into()]).unwrap();
         let c = report.final_output().unwrap();
         // C[0, r] = 2 · B[1, r] · A[2, r]; C[2, r] = 3 · B[0, r] · A[0, r].
         assert_eq!(c.get(&[0, 0]), Some(2.0 * 3.0 * 7.0));

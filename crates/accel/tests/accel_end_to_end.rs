@@ -21,7 +21,7 @@ fn all_accelerators_run_and_agree_on_wi() {
     for accel in SpmspmAccel::all() {
         let sim = accel.simulator().expect("lowers");
         let report = sim
-            .run(&[a.clone(), b.clone()])
+            .run_data(&[&a.clone().into(), &b.clone().into()])
             .unwrap_or_else(|e| panic!("{} failed: {e}", accel.label()));
         assert!(report.dram_bytes() > 0, "{} must move data", accel.label());
         assert!(report.seconds > 0.0, "{} must take time", accel.label());
@@ -48,8 +48,10 @@ fn gamma_avoids_intermediate_traffic_outerspace_pays_it() {
     let (a, b) = inputs();
     let gamma = SpmspmAccel::Gamma.simulator().unwrap();
     let outer = SpmspmAccel::OuterSpace.simulator().unwrap();
-    let gr = gamma.run(&[a.clone(), b.clone()]).unwrap();
-    let or = outer.run(&[a, b]).unwrap();
+    let gr = gamma
+        .run_data(&[&a.clone().into(), &b.clone().into()])
+        .unwrap();
+    let or = outer.run_data(&[&a.into(), &b.into()]).unwrap();
     // Gamma fuses: T stays on chip. OuterSPACE writes and re-reads the
     // partial-product linked lists.
     assert_eq!(gr.dram_bytes_of("T"), 0, "Gamma's T must stay on chip");
@@ -67,7 +69,7 @@ fn gamma_avoids_intermediate_traffic_outerspace_pays_it() {
 fn extensor_reports_partial_output_traffic() {
     let (a, b) = inputs();
     let sim = SpmspmAccel::ExTensor.simulator().unwrap();
-    let report = sim.run(&[a, b]).unwrap();
+    let report = sim.run_data(&[&a.into(), &b.into()]).unwrap();
     // The K2 tile loop revisits output tiles: Fig. 9a's PO component.
     let z = &report.einsums[0];
     assert!(
@@ -80,7 +82,7 @@ fn extensor_reports_partial_output_traffic() {
 fn sigma_prefilter_reduces_stationary_traffic() {
     let (a, b) = inputs();
     let sim = SpmspmAccel::Sigma.simulator().unwrap();
-    let report = sim.run(&[a.clone(), b]).unwrap();
+    let report = sim.run_data(&[&a.clone().into(), &b.into()]).unwrap();
     // T (the filtered stationary matrix) is never larger than A.
     let t = report.outputs.get("T").unwrap();
     assert!(t.nnz() <= a.nnz());

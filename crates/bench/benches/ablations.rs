@@ -3,6 +3,7 @@
 //! evaluated through the full model rather than in isolation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use teaal_bench::compressed;
 use teaal_core::TeaalSpec;
 use teaal_sim::Simulator;
 use teaal_workloads::genmat;
@@ -43,12 +44,13 @@ fn spec_with_intersect(policy: &str) -> TeaalSpec {
 fn ablation_intersect(c: &mut Criterion) {
     let a = genmat::power_law("A", &["K", "M"], 512, 512, 4096, 1.8, 128, 1);
     let b = genmat::power_law("B", &["K", "N"], 512, 512, 4096, 1.8, 128, 2);
+    let (a, b) = (compressed(&a), compressed(&b));
     let mut g = c.benchmark_group("ablation_intersect");
     g.sample_size(10);
     for policy in ["two-finger", "leader-follower", "skip-ahead"] {
         let sim = Simulator::new(spec_with_intersect(policy)).expect("lowers");
         g.bench_with_input(BenchmarkId::new("policy", policy), &sim, |bch, s| {
-            bch.iter(|| s.run(&[a.clone(), b.clone()]).expect("runs"))
+            bch.iter(|| s.run_data(&[&a, &b]).expect("runs"))
         });
     }
     g.finish();
@@ -60,6 +62,7 @@ fn ablation_intersect(c: &mut Criterion) {
 fn ablation_partitioning(c: &mut Criterion) {
     let a = genmat::power_law("A", &["K", "M"], 512, 512, 4096, 1.8, 128, 3);
     let b = genmat::power_law("B", &["K", "N"], 512, 512, 4096, 1.8, 128, 4);
+    let (a, b) = (compressed(&a), compressed(&b));
     let variants = [
         (
             "shape",
@@ -117,7 +120,7 @@ fn ablation_partitioning(c: &mut Criterion) {
         .expect("ablation spec parses");
         let sim = Simulator::new(spec).expect("lowers");
         g.bench_with_input(BenchmarkId::new("strategy", name), &sim, |bch, s| {
-            bch.iter(|| s.run(&[a.clone(), b.clone()]).expect("runs"))
+            bch.iter(|| s.run_data(&[&a, &b]).expect("runs"))
         });
     }
     g.finish();

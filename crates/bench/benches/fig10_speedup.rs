@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use teaal_accel::SpmspmAccel;
+use teaal_bench::compressed;
 use teaal_workloads::baselines::{CpuBaseline, SparseloopLike, TpuBaseline};
 use teaal_workloads::genmat;
 
@@ -12,8 +13,9 @@ fn bench_speedup_models(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig10_speedup_model");
     g.sample_size(10);
     let sim = SpmspmAccel::Sigma.simulator().expect("lowers");
+    let (da, db) = (compressed(&a), compressed(&b));
     g.bench_function("sigma_model", |bch| {
-        bch.iter(|| sim.run(&[a.clone(), b.clone()]).expect("runs"))
+        bch.iter(|| sim.run_data(&[&da, &db]).expect("runs"))
     });
     g.bench_function("baselines_analytical", |bch| {
         bch.iter(|| {

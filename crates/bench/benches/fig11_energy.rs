@@ -3,17 +3,18 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use teaal_accel::SpmspmAccel;
-use teaal_bench::spmspm_pair_by_tag;
+use teaal_bench::{compressed, spmspm_pair_by_tag};
 use teaal_sim::{ActionCounts, EnergyTable};
 
 fn bench_energy_model(c: &mut Criterion) {
     let (a, b) = spmspm_pair_by_tag("wi", 64);
+    let (a, b) = (compressed(&a), compressed(&b));
     let sim = SpmspmAccel::ExTensor.simulator().expect("lowers");
     let mut g = c.benchmark_group("fig11_energy_model");
     g.sample_size(10);
     g.bench_function("extensor_with_energy", |bch| {
         bch.iter(|| {
-            let r = sim.run(&[a.clone(), b.clone()]).expect("runs");
+            let r = sim.run_data(&[&a, &b]).expect("runs");
             std::hint::black_box(r.energy_joules)
         })
     });

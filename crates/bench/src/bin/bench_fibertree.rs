@@ -354,12 +354,12 @@ fn main() {
         } else {
             (1_200u64, 140_000usize)
         };
-        let a = genmat::uniform("A", &["K", "M"], sdim, sdim, snnz, 10);
-        let b = genmat::uniform("B", &["K", "N"], sdim, sdim, snnz, 11);
+        let a = genmat::uniform_compressed("A", &["K", "M"], sdim, sdim, snnz, 10).into();
+        let b = genmat::uniform_compressed("B", &["K", "N"], sdim, sdim, snnz, 11).into();
         let spec = TeaalSpec::parse(SPMSPM_DISJOINT).unwrap();
         let time_sim = |threads: usize| {
             let sim = Simulator::new(spec.clone()).unwrap().with_threads(threads);
-            time_min(reps, || sim.run(&[a.clone(), b.clone()]).unwrap().seconds)
+            time_min(reps, || sim.run_data(&[&a, &b]).unwrap().seconds)
         };
         let seq_ns = time_sim(1);
         let par_ns = time_sim(host_threads.max(2));
@@ -455,12 +455,15 @@ fn main() {
         // in `explore_fast`, so the marginal per-candidate cost is what
         // matters.
         let sim = Simulator::new(spec.clone()).unwrap();
-        let datas: Vec<TensorData> = ins.iter().map(|t| TensorData::Owned(t.clone())).collect();
+        let datas: Vec<TensorData> = ins
+            .iter()
+            .map(|t| CompressedTensor::from_tensor(t).unwrap().into())
+            .collect();
         let drefs: Vec<&TensorData> = datas.iter().collect();
         let stats_cache = StatsCache::new();
         estimate_data(&sim, &drefs, &stats_cache).unwrap();
         let estimate_ns = time_min(reps, || estimate_data(&sim, &drefs, &stats_cache).unwrap());
-        let engine_ns = time_min(reps, || sim.run(&ins).unwrap().seconds);
+        let engine_ns = time_min(reps, || sim.run_data(&drefs).unwrap().seconds);
         mapper.push(MapperResult {
             case: "gamma_z_loop_orders",
             detail: format!(

@@ -6,8 +6,8 @@
 
 use teaal_accel::SpmspmAccel;
 use teaal_bench::{
-    algorithmic_min_bytes, arg_scale, arithmetic_mean, pct_error, print_table, reported,
-    spmspm_pair_by_tag, DEFAULT_MATRIX_SCALE,
+    algorithmic_min_bytes, arg_scale, arithmetic_mean, compressed, pct_error, print_table,
+    reported, spmspm_pair_by_tag, DEFAULT_MATRIX_SCALE,
 };
 
 fn run_accel(accel: SpmspmAccel, scale: u64) {
@@ -25,7 +25,8 @@ fn run_accel(accel: SpmspmAccel, scale: u64) {
     let mut errors = Vec::new();
     for (i, tag) in reported::VALIDATION_TAGS.iter().enumerate() {
         let (a, b) = spmspm_pair_by_tag(tag, scale);
-        let report = sim.run(&[a.clone(), b.clone()]).expect("simulation runs");
+        let (a, b) = (compressed(&a), compressed(&b));
+        let report = sim.run_data(&[&a, &b]).expect("simulation runs");
         let amin = algorithmic_min_bytes(sim.spec(), &a, &b, &report).max(1) as f64;
         let norm = |bytes: u64| bytes as f64 / amin;
         let a_t = norm(report.dram_bytes_of("A"));

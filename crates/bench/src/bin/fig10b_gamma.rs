@@ -4,7 +4,7 @@
 
 use teaal_accel::SpmspmAccel;
 use teaal_bench::{
-    arg_scale, arithmetic_mean, pct_error, print_table, reported, spmspm_pair_by_tag,
+    arg_scale, arithmetic_mean, pct_error, print_table, reported, simulate, spmspm_pair_by_tag,
     DEFAULT_MATRIX_SCALE,
 };
 use teaal_workloads::baselines::{spgemm_cpu_bytes, spmspm_multiplies, CpuBaseline};
@@ -19,7 +19,7 @@ fn main() {
     let mut errors = Vec::new();
     for (i, tag) in reported::VALIDATION_TAGS.iter().enumerate() {
         let (a, b) = spmspm_pair_by_tag(tag, scale);
-        let report = sim.run(&[a.clone(), b.clone()]).expect("runs");
+        let report = simulate(&sim, &[&a, &b]);
         let flops = 2.0 * spmspm_multiplies(&a, &b) as f64;
         let nnz_z = report.final_output().map_or(0, |z| z.nnz()) as u64;
         let mkl = cpu.spgemm_seconds(flops, spgemm_cpu_bytes(&a, &b, nnz_z));

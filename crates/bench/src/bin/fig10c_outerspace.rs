@@ -5,7 +5,7 @@
 //! dimensions (and multiplies density to keep nnz per row constant).
 
 use teaal_accel::SpmspmAccel;
-use teaal_bench::{arg_scale, print_table, reported};
+use teaal_bench::{arg_scale, print_table, reported, simulate};
 use teaal_workloads::genmat;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
         let dens = density * scale as f64;
         let a = genmat::uniform_density("A", &["K", "M"], d, d, dens, 100 + i as u64);
         let b = genmat::uniform_density("B", &["K", "N"], d, d, dens, 200 + i as u64);
-        let report = sim.run(&[a, b]).expect("runs");
+        let report = simulate(&sim, &[&a, &b]);
         rows.push((
             format!("{dim}/{density:.1e}"),
             vec![reported::FIG10C_OUTERSPACE_SECONDS[i], report.seconds],

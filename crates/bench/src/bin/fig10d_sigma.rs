@@ -4,7 +4,7 @@
 //! Usage: `fig10d_sigma [--scale N]`
 
 use teaal_accel::SpmspmAccel;
-use teaal_bench::{arg_scale, arithmetic_mean, pct_error, print_table, reported};
+use teaal_bench::{arg_scale, arithmetic_mean, pct_error, print_table, reported, simulate};
 use teaal_workloads::baselines::TpuBaseline;
 use teaal_workloads::genmat;
 
@@ -34,7 +34,7 @@ fn main() {
             reported::FIG10D_DENSITY_B,
             400 + i as u64,
         );
-        let report = sim.run(&[a, b]).expect("runs");
+        let report = simulate(&sim, &[&a, &b]);
         let speedup = tpu.dense_gemm_seconds(m, n, k) / report.seconds;
         let (rm, rn, rk) = reported::FIG10D_WORKLOADS[i];
         let rep = reported::FIG10D_SIGMA_SPEEDUP[i];

@@ -5,7 +5,7 @@
 
 use teaal_accel::SpmspmAccel;
 use teaal_bench::{
-    arg_scale, arithmetic_mean, pct_error, print_table, reported, spmspm_pair_by_tag,
+    arg_scale, arithmetic_mean, pct_error, print_table, reported, simulate, spmspm_pair_by_tag,
     DEFAULT_MATRIX_SCALE,
 };
 
@@ -21,7 +21,7 @@ fn main() {
     // millijoules and values rescaled by the nnz ratio for comparability.
     for (i, tag) in reported::VALIDATION_TAGS.iter().enumerate() {
         let (a, b) = spmspm_pair_by_tag(tag, scale);
-        let report = sim.run(&[a.clone(), b.clone()]).expect("runs");
+        let report = simulate(&sim, &[&a, &b]);
         let mj = report.energy_joules * 1e3;
         let rep = reported::FIG11_EXTENSOR_ENERGY_MJ[i];
         measured.push(mj);

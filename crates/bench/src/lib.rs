@@ -10,8 +10,8 @@
 
 pub mod reported;
 
-use teaal_fibertree::{FiberView, PayloadView, Tensor};
-use teaal_sim::SimReport;
+use teaal_fibertree::{CompressedTensor, FiberView, PayloadView, Tensor, TensorData};
+use teaal_sim::{SimReport, Simulator};
 use teaal_workloads::{by_tag, Dataset};
 
 /// Sums every leaf reachable from a view — the canonical full-tensor
@@ -62,24 +62,39 @@ pub fn spmspm_pair_by_tag(tag: &str, scale: u64) -> (Tensor, Tensor) {
 /// (the Fig. 9 normalization baseline).
 pub fn algorithmic_min_bytes(
     spec: &teaal_core::TeaalSpec,
-    a: &Tensor,
-    b: &Tensor,
+    a: &TensorData,
+    b: &TensorData,
     report: &SimReport,
 ) -> u64 {
-    let fmt = |t: &Tensor| {
+    let fmt = |t: &TensorData| {
         spec.format
             .config_or_default(t.name(), None, t.rank_ids())
             .footprint_bytes(t)
     };
-    let z_bytes = report
-        .final_output()
-        .map(|z| {
-            spec.format
-                .config_or_default(z.name(), None, z.rank_ids())
-                .footprint_bytes_data(z)
-        })
-        .unwrap_or(0);
-    fmt(a) + fmt(b) + z_bytes
+    fmt(a) + fmt(b) + report.final_output().map_or(0, fmt)
+}
+
+/// Compresses an owned operand into the engine's input storage.
+///
+/// # Panics
+///
+/// Panics if a rank shape is a tuple with non-interval components (no
+/// generator here builds one).
+pub fn compressed(t: &Tensor) -> TensorData {
+    CompressedTensor::from_tensor(t)
+        .expect("operands compress")
+        .into()
+}
+
+/// Runs `sim` on owned operands, each [`compressed`] once.
+///
+/// # Panics
+///
+/// Panics if the simulation fails.
+pub fn simulate(sim: &Simulator, operands: &[&Tensor]) -> SimReport {
+    let data: Vec<TensorData> = operands.iter().map(|t| compressed(t)).collect();
+    sim.run_data(&data.iter().collect::<Vec<_>>())
+        .expect("simulation runs")
 }
 
 /// Percentage error of a measured value against a reported one.

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use teaal_fibertree::Tensor;
+use teaal_fibertree::TensorData;
 
 use crate::error::SpecError;
 use crate::yaml::Yaml;
@@ -145,37 +145,16 @@ impl TensorFormat {
     ///
     /// Ranks without explicit attributes use the compressed default. Per
     /// rank, the footprint sums [`RankFormat::fiber_bits`] over all fibers
-    /// (for uncompressed ranks, using the declared shape extent).
-    pub fn footprint_bytes(&self, tensor: &Tensor) -> u64 {
-        self.footprint_from_parts(
-            tensor.rank_ids(),
-            tensor.rank_shapes(),
-            &tensor.rank_stats(),
-        )
-    }
-
-    /// [`TensorFormat::footprint_bytes`] for a tensor in either
-    /// representation, without decompressing.
-    pub fn footprint_bytes_data(&self, tensor: &teaal_fibertree::TensorData) -> u64 {
-        self.footprint_from_parts(
-            tensor.rank_ids(),
-            tensor.rank_shapes(),
-            &tensor.rank_stats(),
-        )
-    }
-
-    fn footprint_from_parts(
-        &self,
-        rank_ids: &[String],
-        rank_shapes: &[teaal_fibertree::Shape],
-        stats: &[(usize, usize)],
-    ) -> u64 {
+    /// (for uncompressed ranks, using the declared shape extent). Works
+    /// on either representation without decompressing.
+    pub fn footprint_bytes(&self, tensor: &TensorData) -> u64 {
+        let stats = tensor.rank_stats();
         let mut bits = 0u64;
-        for (depth, rank_id) in rank_ids.iter().enumerate() {
+        for (depth, rank_id) in tensor.rank_ids().iter().enumerate() {
             let default = RankFormat::default();
             let rf = self.ranks.get(rank_id).unwrap_or(&default);
             let (fiber_count, total_occ) = stats.get(depth).copied().unwrap_or((0, 0));
-            let extent = rank_shapes[depth].extent();
+            let extent = tensor.rank_shapes()[depth].extent();
             match rf.format {
                 FormatType::C => {
                     // occupancy-proportional: sum over fibers collapses.
@@ -339,7 +318,7 @@ mod tests {
         let a = fig1_matrix_a(); // 1 M-fiber occ 2; 2 K-fibers occ 4
         let tf = TensorFormat::csf(a.rank_ids());
         // M rank: 2*(32+32) = 128 bits; K rank: 4*(32+64) = 384 bits.
-        assert_eq!(tf.footprint_bytes(&a), (128 + 384) / 8);
+        assert_eq!(tf.footprint_bytes(&a.into()), (128 + 384) / 8);
     }
 
     #[test]
@@ -412,6 +391,7 @@ mod tests {
         );
         // Dense pays for every (m, k) slot: M rank 4 slots * 32 + K rank
         // 2 fibers * 3 slots * 64 — still bigger than compressed here?
+        let a = a.into();
         let db = dense.footprint_bytes(&a);
         let cb = csf.footprint_bytes(&a);
         assert!(db > 0 && cb > 0);

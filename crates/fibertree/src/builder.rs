@@ -10,7 +10,7 @@
 //! `from_entries`, `from_tensor`, transforms, outputs — lands on an
 //! identical representation for identical content.
 
-use crate::compressed::{CompressedTensor, Level};
+use crate::compressed::{key_offsets, CompressedTensor, Level};
 use crate::coord::{Coord, Shape};
 use crate::error::FibertreeError;
 
@@ -44,9 +44,11 @@ pub struct CompressedBuilder {
     rank_shapes: Vec<Shape>,
     levels: Vec<Level>,
     values: Vec<f64>,
-    /// Raw `(upper, lower)` key of the last pushed leaf, for divergence
-    /// computation and order checking.
-    last: Vec<(u64, u64)>,
+    /// Where each rank's components start in a flat raw key.
+    offsets: Vec<usize>,
+    /// Raw key of the last pushed leaf, for divergence computation and
+    /// order checking.
+    last: Vec<u64>,
     has_last: bool,
 }
 
@@ -56,7 +58,8 @@ impl CompressedBuilder {
     /// # Errors
     ///
     /// Returns [`FibertreeError::NotCompressible`] when a shape is not
-    /// representable in a compressed level (tuple arity > 2).
+    /// representable in a compressed level (a tuple with non-interval
+    /// components).
     pub fn new(
         name: impl Into<String>,
         rank_ids: Vec<String>,
@@ -67,12 +70,14 @@ impl CompressedBuilder {
             .iter()
             .map(Level::for_shape)
             .collect::<Result<Vec<_>, _>>()?;
+        let offsets = key_offsets(&levels);
         Ok(CompressedBuilder {
             name: name.into(),
             rank_ids,
             rank_shapes,
             levels,
             values: Vec::new(),
+            offsets,
             last: Vec::new(),
             has_last: false,
         })
@@ -89,7 +94,7 @@ impl CompressedBuilder {
     }
 
     /// Appends one leaf at a coordinate path (one coordinate per rank;
-    /// pairs on flattened ranks).
+    /// tuples on flattened ranks).
     ///
     /// # Errors
     ///
@@ -112,18 +117,12 @@ impl CompressedBuilder {
                 });
             }
         }
-        let key: Vec<(u64, u64)> = point
+        // Shape containment guarantees every tuple component is a point.
+        let key: Vec<u64> = point
             .iter()
-            .map(|c| match c {
-                Coord::Point(p) => Ok((*p, 0)),
-                Coord::Tuple(cs) => match cs.as_slice() {
-                    [Coord::Point(a), Coord::Point(b)] => Ok((*a, *b)),
-                    _ => Err(FibertreeError::NotCompressible {
-                        reason: format!("coordinate {c} is neither a point nor a pair"),
-                    }),
-                },
-            })
-            .collect::<Result<_, _>>()?;
+            .flat_map(Coord::components)
+            .map(|c| c.as_point().expect("shape-checked components are points"))
+            .collect();
         self.push_raw(&key, value)
     }
 
@@ -147,18 +146,13 @@ impl CompressedBuilder {
                 });
             }
         }
-        let key: Vec<(u64, u64)> = point.iter().map(|&p| (p, 0)).collect();
-        self.push_raw(&key, value)
+        self.push_raw(point, value)
     }
 
-    /// Core append: `key` is the raw `(upper, lower)` pair per rank
-    /// (`(coord, 0)` on point ranks), already validated against the
+    /// Core append: `key` is the flat raw key — every rank's components
+    /// concatenated (see `offsets`) — already validated against the
     /// shapes.
-    pub(crate) fn push_raw(
-        &mut self,
-        key: &[(u64, u64)],
-        value: f64,
-    ) -> Result<(), FibertreeError> {
+    pub(crate) fn push_raw(&mut self, key: &[u64], value: f64) -> Result<(), FibertreeError> {
         let n = self.levels.len();
         if n == 0 {
             // 0-tensor: accumulate into the single scalar slot.
@@ -170,41 +164,38 @@ impl CompressedBuilder {
         }
         // First rank where this leaf diverges from the previous one:
         // every rank from there down gains an element, and every rank
-        // strictly below gains a fresh fiber.
+        // strictly below gains a fresh fiber. Every rank has a fixed
+        // component count, so comparing flat keys is comparing paths.
         let diff = if self.has_last {
-            match self.last.as_slice().cmp(key) {
-                std::cmp::Ordering::Less => self
-                    .last
-                    .iter()
-                    .zip(key)
-                    .position(|(a, b)| a != b)
-                    .expect("strictly less implies a diverging rank"),
-                std::cmp::Ordering::Equal => {
-                    *self.values.last_mut().expect("a leaf was pushed") += value;
-                    return Ok(());
-                }
-                std::cmp::Ordering::Greater => {
-                    let d = self
-                        .last
-                        .iter()
-                        .zip(key)
-                        .position(|(a, b)| a != b)
-                        .expect("strictly greater implies a diverging rank");
-                    return Err(FibertreeError::Unsorted {
-                        prev: raw_coord(self.last[d], self.levels[d].arity()),
-                        next: raw_coord(key[d], self.levels[d].arity()),
-                    });
-                }
+            let order = self.last.as_slice().cmp(key);
+            if order.is_eq() {
+                *self.values.last_mut().expect("a leaf was pushed") += value;
+                return Ok(());
             }
+            let j = self
+                .last
+                .iter()
+                .zip(key)
+                .position(|(a, b)| a != b)
+                .expect("unequal keys of one width diverge");
+            let d = self.offsets.partition_point(|&o| o <= j) - 1;
+            if order.is_gt() {
+                let span = self.offsets[d]..self.offsets[d + 1];
+                return Err(FibertreeError::Unsorted {
+                    prev: raw_coord(&self.last[span.clone()]),
+                    next: raw_coord(&key[span]),
+                });
+            }
+            d
         } else {
             0
         };
-        for (d, &k) in key.iter().enumerate().skip(diff) {
-            if d > diff && self.levels[d].coords.len() > 0 {
-                let end = self.levels[d].coords.len();
+        for d in diff..n {
+            if d > diff && self.levels[d].len() > 0 {
+                let end = self.levels[d].len();
                 self.levels[d].segs.push(end);
             }
-            self.levels[d].push_raw(k);
+            self.levels[d].push_raw(&key[self.offsets[d]..self.offsets[d + 1]]);
         }
         self.values.push(value);
         self.last.clear();
@@ -248,7 +239,7 @@ impl CompressedBuilder {
             }
             return Ok(());
         }
-        let mut key = vec![(0u64, 0u64); n];
+        let mut key = vec![0u64; self.offsets[n]];
         self.append_range(t, 0, 0, t.level_len(0), &mut key)
     }
 
@@ -260,14 +251,14 @@ impl CompressedBuilder {
         level: usize,
         start: usize,
         end: usize,
-        key: &mut [(u64, u64)],
+        key: &mut [u64],
     ) -> Result<(), FibertreeError> {
-        let leaf = level + 1 == key.len();
+        let leaf = level + 1 == self.levels.len();
+        let span = self.offsets[level]..self.offsets[level + 1];
         for p in start..end {
-            key[level] = t.raw_at(level, p);
+            t.levels[level].write_raw(p, &mut key[span.clone()]);
             if leaf {
-                let k = key.to_vec();
-                self.push_raw(&k, t.value_at(p))?;
+                self.push_raw(key, t.value_at(p))?;
             } else {
                 let (cs, ce) = t.child_range(level, p);
                 self.append_range(t, level + 1, cs, ce, key)?;
@@ -295,13 +286,9 @@ impl CompressedBuilder {
         // the owned tree, where only the root fiber exists in an empty
         // tensor), so its segment list stays `[0]`.
         for d in 0..n {
-            let parents = if d == 0 {
-                1
-            } else {
-                self.levels[d - 1].coords.len()
-            };
+            let parents = if d == 0 { 1 } else { self.levels[d - 1].len() };
             if parents > 0 {
-                let end = self.levels[d].coords.len();
+                let end = self.levels[d].len();
                 self.levels[d].segs.push(end);
             }
         }
@@ -315,12 +302,12 @@ impl CompressedBuilder {
     }
 }
 
-/// Materializes a raw key back into a coordinate (for error reporting).
-fn raw_coord(key: (u64, u64), arity: usize) -> Coord {
-    if arity == 2 {
-        Coord::pair(key.0, key.1)
-    } else {
-        Coord::Point(key.0)
+/// Materializes one rank's raw key back into a coordinate (for error
+/// reporting).
+fn raw_coord(key: &[u64]) -> Coord {
+    match key {
+        [p] => Coord::Point(*p),
+        _ => Coord::Tuple(key.iter().map(|&c| Coord::Point(c)).collect()),
     }
 }
 
@@ -482,13 +469,31 @@ mod tests {
     }
 
     #[test]
-    fn deep_tuple_shapes_are_not_compressible() {
+    fn deep_tuple_shapes_build_and_nested_ones_are_rejected() {
         let deep = Shape::Tuple(vec![
             Shape::Interval(2),
-            Shape::Interval(2),
+            Shape::Interval(3),
             Shape::Interval(2),
         ]);
-        let err = CompressedBuilder::new("T", vec!["ABC".into()], vec![deep]);
+        let mut b = CompressedBuilder::new("T", vec!["ABC".into()], vec![deep]).unwrap();
+        let triple =
+            |a, b, c| Coord::Tuple(vec![Coord::Point(a), Coord::Point(b), Coord::Point(c)]);
+        b.push(&[triple(0, 2, 1)], 1.0).unwrap();
+        b.push(&[triple(1, 0, 0)], 2.0).unwrap();
+        assert!(matches!(
+            b.push(&[triple(0, 0, 0)], 3.0),
+            Err(FibertreeError::Unsorted { .. })
+        ));
+        let c = b.finish();
+        assert_eq!(
+            c.leaves(),
+            vec![(vec![triple(0, 2, 1)], 1.0), (vec![triple(1, 0, 0)], 2.0)]
+        );
+        let nested = Shape::Tuple(vec![
+            Shape::Tuple(vec![Shape::Interval(2), Shape::Interval(2)]),
+            Shape::Interval(2),
+        ]);
+        let err = CompressedBuilder::new("T", vec!["ABC".into()], vec![nested]);
         assert!(matches!(err, Err(FibertreeError::NotCompressible { .. })));
     }
 }

@@ -232,8 +232,8 @@ pub struct BoundaryRecord {
 /// plus the chain's replayable side effects in execution order.
 #[derive(Clone, Debug)]
 pub struct TransformedView {
-    /// The transformed tensor (owned or compressed, whatever the chain
-    /// produced).
+    /// The transformed tensor: always compressed storage (an owned input
+    /// is compressed once before its chain runs).
     pub tensor: TensorData,
     /// Merge groups recorded while the chain ran.
     pub merges: Vec<MergeRecord>,
@@ -242,9 +242,9 @@ pub struct TransformedView {
 }
 
 impl TransformedView {
-    /// Rough resident size: CSF-ish accounting of the tensor (one value
-    /// plus one coordinate word per rank per leaf) — good enough for the
-    /// telemetry byte counters, not allocator-exact.
+    /// Rough resident size of the CSF arrays (one value plus one
+    /// coordinate word per rank per leaf) — good enough for the telemetry
+    /// byte counters, not allocator-exact.
     pub fn approx_bytes(&self) -> u64 {
         let t = &self.tensor;
         (t.nnz() as u64) * (8 + 8 * t.order() as u64)
@@ -355,6 +355,7 @@ impl TransformCache {
 mod tests {
     use super::*;
     use crate::tensor::TensorBuilder;
+    use crate::CompressedTensor;
 
     fn view(tag: f64) -> TransformedView {
         let t = TensorBuilder::new("T", &["I"], &[8])
@@ -362,7 +363,7 @@ mod tests {
             .build()
             .unwrap();
         TransformedView {
-            tensor: TensorData::Owned(t),
+            tensor: CompressedTensor::from_tensor(&t).unwrap().into(),
             merges: vec![MergeRecord {
                 tensor: "T".into(),
                 elems: 4,

@@ -24,9 +24,8 @@
 //! Each level's coordinate array is *narrowed* per rank: when the rank's
 //! extent fits, coordinates are stored as `u32` instead of `u64`
 //! (`CoordStore`), halving the footprint of typical matrices. Ranks
-//! produced by flattening hold *pair* coordinates as two parallel stores
-//! (one per tuple component); deeper tuples are not representable and
-//! stay on the owned path.
+//! produced by flattening hold *tuple* coordinates as parallel stores,
+//! one per component, so any flatten depth stays compressed.
 //!
 //! Compressed tensors are read-only, but the content-preserving
 //! transforms (swizzle / partition / flatten) have compressed-native
@@ -137,50 +136,48 @@ pub(crate) struct Level {
     /// Fiber `f` spans `coords[segs[f]..segs[f+1]]`; there is always one
     /// trailing entry equal to `coords.len()`.
     pub(crate) segs: Vec<usize>,
-    /// Upper tuple components, present only on flattened (pair) ranks:
-    /// element `i`'s coordinate is `(upper[i], coords[i])`.
-    pub(crate) upper: Option<CoordStore>,
-    /// Coordinates of every element at this rank, fiber-concatenated,
-    /// strictly increasing within each fiber (lexicographically, for pair
-    /// ranks).
+    /// Leading tuple components, one store per component, present only on
+    /// flattened ranks: element `i`'s coordinate is
+    /// `(upper[0][i], …, upper[k-1][i], coords[i])`. Empty on point ranks.
+    pub(crate) upper: Vec<CoordStore>,
+    /// Coordinates (last tuple components, on flattened ranks) of every
+    /// element at this rank, fiber-concatenated, strictly increasing
+    /// within each fiber (lexicographically, for tuple ranks).
     pub(crate) coords: CoordStore,
 }
 
 impl Level {
     /// An empty level sized for `shape`: point coordinates for intervals,
-    /// pair coordinates for two-component tuple shapes.
+    /// one store per component for tuple shapes.
     ///
     /// # Errors
     ///
-    /// Returns [`FibertreeError::NotCompressible`] for tuple shapes of
-    /// arity ≠ 2 or with non-interval components (flattening three or more
-    /// ranks stays on the owned path).
+    /// Returns [`FibertreeError::NotCompressible`] for tuple shapes that
+    /// are not a flattening of two or more interval ranks.
     pub(crate) fn for_shape(shape: &Shape) -> Result<Self, FibertreeError> {
         match shape {
             Shape::Interval(n) => Ok(Level {
                 segs: vec![0],
-                upper: None,
+                upper: Vec::new(),
                 coords: CoordStore::for_extent(*n),
             }),
             Shape::Tuple(cs) => {
-                let [a, b] = cs.as_slice() else {
-                    return Err(FibertreeError::NotCompressible {
-                        reason: format!(
-                            "tuple shape {shape} has arity {}; compressed levels hold \
-                             points or pairs only",
-                            cs.len()
-                        ),
-                    });
-                };
-                let (Some(ea), Some(eb)) = (a.as_interval(), b.as_interval()) else {
+                let extents: Option<Vec<u64>> = cs.iter().map(Shape::as_interval).collect();
+                let Some((&last, leading)) = extents.as_deref().and_then(<[u64]>::split_last)
+                else {
                     return Err(FibertreeError::NotCompressible {
                         reason: format!("tuple shape {shape} has non-interval components"),
                     });
                 };
+                if leading.is_empty() {
+                    return Err(FibertreeError::NotCompressible {
+                        reason: format!("tuple shape {shape} has a single component"),
+                    });
+                }
                 Ok(Level {
                     segs: vec![0],
-                    upper: Some(CoordStore::for_extent(ea)),
-                    coords: CoordStore::for_extent(eb),
+                    upper: leading.iter().map(|&e| CoordStore::for_extent(e)).collect(),
+                    coords: CoordStore::for_extent(last),
                 })
             }
         }
@@ -190,95 +187,133 @@ impl Level {
     pub(crate) fn new_like(&self) -> Self {
         Level {
             segs: vec![0],
-            upper: self.upper.as_ref().map(CoordStore::new_like),
+            upper: self.upper.iter().map(CoordStore::new_like).collect(),
             coords: self.coords.new_like(),
         }
     }
 
-    /// 1 for point levels, 2 for pair (flattened) levels.
+    /// Number of tuple components: 1 for point levels.
     #[inline]
     pub(crate) fn arity(&self) -> usize {
-        if self.upper.is_some() {
-            2
-        } else {
-            1
-        }
+        self.upper.len() + 1
     }
 
-    /// The raw `(upper, lower)` key of element `i` (`(coord, 0)` on point
-    /// levels).
+    /// Number of elements.
     #[inline]
-    pub(crate) fn raw(&self, i: usize) -> (u64, u64) {
-        match &self.upper {
-            Some(u) => (u.get(i), self.coords.get(i)),
-            None => (self.coords.get(i), 0),
+    pub(crate) fn len(&self) -> usize {
+        self.coords.len()
+    }
+
+    /// Component `j` of element `i`'s coordinate.
+    #[inline]
+    pub(crate) fn component(&self, i: usize, j: usize) -> u64 {
+        match self.upper.get(j) {
+            Some(u) => u.get(i),
+            None => self.coords.get(i),
         }
     }
 
-    /// Appends a raw `(upper, lower)` key.
-    pub(crate) fn push_raw(&mut self, key: (u64, u64)) {
-        match &mut self.upper {
-            Some(u) => {
-                u.push(key.0);
-                self.coords.push(key.1);
-            }
-            None => self.coords.push(key.0),
+    /// Writes element `i`'s raw key (its [`Level::arity`] components)
+    /// into `out`.
+    #[inline]
+    pub(crate) fn write_raw(&self, i: usize, out: &mut [u64]) {
+        for (j, slot) in out.iter_mut().enumerate() {
+            *slot = self.component(i, j);
         }
+    }
+
+    /// Appends a raw key of [`Level::arity`] components.
+    pub(crate) fn push_raw(&mut self, key: &[u64]) {
+        let (last, leading) = key.split_last().expect("a raw key has components");
+        for (u, &c) in self.upper.iter_mut().zip(leading) {
+            u.push(c);
+        }
+        self.coords.push(*last);
     }
 
     /// The materialized coordinate of element `i`.
     #[inline]
     pub(crate) fn coord(&self, i: usize) -> Coord {
-        match &self.upper {
-            Some(u) => Coord::pair(u.get(i), self.coords.get(i)),
-            None => Coord::Point(self.coords.get(i)),
+        if self.upper.is_empty() {
+            Coord::Point(self.coords.get(i))
+        } else {
+            Coord::Tuple(
+                (0..self.arity())
+                    .map(|j| Coord::Point(self.component(i, j)))
+                    .collect(),
+            )
         }
     }
 
-    /// The allocation-free comparison key of element `i`.
-    #[inline]
-    pub(crate) fn key(&self, i: usize) -> CoordKey<'static> {
-        match &self.upper {
-            Some(u) => CoordKey::Pair(u.get(i), self.coords.get(i)),
-            None => CoordKey::Point(self.coords.get(i)),
+    /// Compares element `i`'s coordinate against `key`, agreeing with
+    /// [`Coord`]'s derived `Ord` (points before tuples, tuples
+    /// lexicographic with length tiebreak), without allocating.
+    pub(crate) fn cmp_elem(&self, i: usize, key: &CoordKey<'_>) -> Ordering {
+        if self.upper.is_empty() {
+            let c = self.coords.get(i);
+            return match key {
+                CoordKey::Point(p) | CoordKey::Borrowed(Coord::Point(p)) => c.cmp(p),
+                _ => Ordering::Less,
+            };
+        }
+        match key {
+            CoordKey::Point(_) | CoordKey::Borrowed(Coord::Point(_)) => Ordering::Greater,
+            CoordKey::Borrowed(Coord::Tuple(cs)) => {
+                for (j, theirs) in cs.iter().enumerate().take(self.arity()) {
+                    match Coord::Point(self.component(i, j)).cmp(theirs) {
+                        Ordering::Equal => {}
+                        o => return o,
+                    }
+                }
+                self.arity().cmp(&cs.len())
+            }
+            CoordKey::Tuple { tree, level, pos } => {
+                let other = &tree.levels[*level];
+                for j in 0..self.arity().min(other.arity()) {
+                    match self.component(i, j).cmp(&other.component(*pos, j)) {
+                        Ordering::Equal => {}
+                        o => return o,
+                    }
+                }
+                self.arity().cmp(&other.arity())
+            }
         }
     }
 
     /// Binary search within elements `[start, end)` for the coordinate
     /// `key` addresses, when it is representable at this level.
     pub(crate) fn search_key(&self, start: usize, end: usize, key: &CoordKey<'_>) -> Option<usize> {
-        match &self.upper {
-            None => {
-                let p = match key {
-                    CoordKey::Point(p) => *p,
-                    CoordKey::Pair(..) => return None,
-                    CoordKey::Borrowed(c) => c.as_point()?,
-                };
-                self.coords.search(start, end, p).ok().map(|i| start + i)
-            }
-            Some(u) => {
-                let (a, b) = match key {
-                    CoordKey::Pair(a, b) => (*a, *b),
-                    CoordKey::Point(_) => return None,
-                    CoordKey::Borrowed(c) => match c {
-                        Coord::Tuple(cs) if cs.len() == 2 => (cs[0].as_point()?, cs[1].as_point()?),
-                        _ => return None,
-                    },
-                };
-                let mut lo = start;
-                let mut hi = end;
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    match (u.get(mid), self.coords.get(mid)).cmp(&(a, b)) {
-                        Ordering::Less => lo = mid + 1,
-                        Ordering::Greater => hi = mid,
-                        Ordering::Equal => return Some(mid),
-                    }
-                }
-                None
+        if self.upper.is_empty() {
+            let p = match key {
+                CoordKey::Point(p) => *p,
+                CoordKey::Borrowed(c) => c.as_point()?,
+                CoordKey::Tuple { .. } => return None,
+            };
+            return self.coords.search(start, end, p).ok().map(|i| start + i);
+        }
+        let (mut lo, mut hi) = (start, end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.cmp_elem(mid, key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(mid),
             }
         }
+        None
     }
+}
+
+/// Where each level's components start in a flat raw key (one slot per
+/// point rank, one per tuple component on flattened ranks); the trailing
+/// entry is the key width.
+pub(crate) fn key_offsets(levels: &[Level]) -> Vec<usize> {
+    std::iter::once(0)
+        .chain(levels.iter().scan(0, |end, l| {
+            *end += l.arity();
+            Some(*end)
+        }))
+        .collect()
 }
 
 /// An `N`-tensor in compressed sparse fiber (CSF) form.
@@ -371,9 +406,8 @@ impl CompressedTensor {
     ///
     /// # Errors
     ///
-    /// Returns [`FibertreeError::NotCompressible`] if the tensor carries
-    /// tuple coordinates of arity greater than two: compressed levels
-    /// represent points and pairs (one flatten), nothing deeper.
+    /// Returns [`FibertreeError::NotCompressible`] if a rank shape is a
+    /// tuple with non-interval components (flattening never produces one).
     pub fn from_tensor(t: &Tensor) -> Result<Self, FibertreeError> {
         let mut b =
             CompressedBuilder::new(t.name(), t.rank_ids().to_vec(), t.rank_shapes().to_vec())?;
@@ -416,7 +450,7 @@ impl CompressedTensor {
         if self.order() == 0 {
             return Tensor::scalar(&self.name, self.values[0]);
         }
-        let root = self.build_fiber(0, 0, self.levels[0].coords.len());
+        let root = self.build_fiber(0, 0, self.levels[0].len());
         Tensor::from_parts(
             &self.name,
             self.rank_ids.clone(),
@@ -509,7 +543,7 @@ impl CompressedTensor {
         if point.len() != self.order() {
             return None;
         }
-        let (mut s, mut e) = (0usize, self.levels[0].coords.len());
+        let (mut s, mut e) = (0usize, self.levels[0].len());
         let mut pos = 0usize;
         for (d, &c) in point.iter().enumerate() {
             pos = self.levels[d].search_key(s, e, &CoordKey::Point(c))?;
@@ -532,13 +566,13 @@ impl CompressedTensor {
             if fibers == 0 {
                 break;
             }
-            out.push((fibers, l.coords.len()));
+            out.push((fibers, l.len()));
         }
         out
     }
 
     /// Enumerates `(path, value)` for every nonzero leaf in lexicographic
-    /// order, one coordinate per rank (pairs on flattened ranks) —
+    /// order, one coordinate per rank (tuples on flattened ranks) —
     /// matches [`Tensor::leaves`].
     pub fn leaves(&self) -> Vec<(Vec<Coord>, f64)> {
         let mut out = Vec::with_capacity(self.values.len());
@@ -549,7 +583,7 @@ impl CompressedTensor {
             return out;
         }
         let mut path = vec![Coord::Point(0); self.order()];
-        self.collect_leaves(0, 0, self.levels[0].coords.len(), &mut path, &mut out);
+        self.collect_leaves(0, 0, self.levels[0].len(), &mut path, &mut out);
         out
     }
 
@@ -580,7 +614,7 @@ impl CompressedTensor {
     ///
     /// # Panics
     ///
-    /// Panics if a flattened (pair-coordinate) rank is encountered.
+    /// Panics if a flattened (tuple-coordinate) rank is encountered.
     pub fn entries(&self) -> Vec<(Vec<u64>, f64)> {
         self.leaves()
             .into_iter()
@@ -599,23 +633,33 @@ impl CompressedTensor {
         self.levels[level].coord(p)
     }
 
-    /// The allocation-free comparison key of element `p` of `level`.
+    /// The allocation-free comparison key of element `p` of `level`:
+    /// an inline point, or the tuple read in place on flattened ranks.
     #[inline]
-    pub(crate) fn coord_key(&self, level: usize, p: usize) -> CoordKey<'static> {
-        self.levels[level].key(p)
+    pub(crate) fn coord_key(&self, level: usize, p: usize) -> CoordKey<'_> {
+        let l = &self.levels[level];
+        if l.upper.is_empty() {
+            CoordKey::Point(l.coords.get(p))
+        } else {
+            CoordKey::Tuple {
+                tree: self,
+                level,
+                pos: p,
+            }
+        }
     }
 
-    /// The raw `(upper, lower)` key of element `p` of `level`
-    /// (`(coord, 0)` on point levels).
+    /// Compares element `p` of `level` against `key` (see
+    /// [`CoordKey::cmp_key`]).
     #[inline]
-    pub(crate) fn raw_at(&self, level: usize, p: usize) -> (u64, u64) {
-        self.levels[level].raw(p)
+    pub(crate) fn cmp_key_at(&self, level: usize, p: usize, key: &CoordKey<'_>) -> Ordering {
+        self.levels[level].cmp_elem(p, key)
     }
 
     /// Number of elements at `level`.
     #[inline]
     pub(crate) fn level_len(&self, level: usize) -> usize {
-        self.levels[level].coords.len()
+        self.levels[level].len()
     }
 
     /// Binary search for `key` within elements `[start, end)` of `level`.
@@ -680,9 +724,10 @@ impl fmt::Display for CompressedTensor {
 mod tests {
     use super::*;
     use crate::tensor::fig1_matrix_a;
+    use crate::view::FiberView;
 
     pub(crate) fn coords_u64(l: &Level) -> Vec<u64> {
-        (0..l.coords.len()).map(|i| l.coords.get(i)).collect()
+        (0..l.len()).map(|i| l.coords.get(i)).collect()
     }
 
     #[test]
@@ -770,7 +815,7 @@ mod tests {
     }
 
     #[test]
-    fn deep_tuple_coordinates_are_rejected() {
+    fn deep_tuple_coordinates_round_trip() {
         let t = crate::tensor::TensorBuilder::new("T", &["A", "B", "C"], &[2, 2, 2])
             .entry(&[0, 1, 0], 1.0)
             .entry(&[1, 0, 1], 2.0)
@@ -780,8 +825,14 @@ mod tests {
             .unwrap()
             .flatten_rank("AB", "ABC")
             .unwrap();
-        let err = CompressedTensor::from_tensor(&t);
-        assert!(matches!(err, Err(FibertreeError::NotCompressible { .. })));
+        let c = CompressedTensor::from_tensor(&t).unwrap();
+        assert_eq!(c.levels[0].arity(), 3);
+        assert_eq!(c.leaves(), t.leaves());
+        assert_eq!(c.to_tensor(), t);
+        let root = FiberView::of_compressed(&c).unwrap();
+        let key = Coord::Tuple(vec![Coord::Point(1), Coord::Point(0), Coord::Point(1)]);
+        assert_eq!(root.position(&key), Some(1));
+        assert_eq!(root.position(&Coord::pair(1, 0)), None);
     }
 
     #[test]

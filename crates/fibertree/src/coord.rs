@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A coordinate within a fiber.
 ///
 /// `Point` is an ordinary integer coordinate. `Tuple` arises from rank
@@ -27,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.as_point(), Some(3));
 /// assert_eq!(b.components().len(), 2);
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Coord {
     /// An integer coordinate on an ordinary rank.
     Point(u64),
@@ -129,7 +127,7 @@ impl fmt::Display for Coord {
 /// An `Interval(n)` shape means coordinates in `[0, n)`; a `Tuple` shape is
 /// the product space of flattened ranks. Shapes drive uncompressed format
 /// sizing and uniform-shape partitioning boundaries.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Shape {
     /// Coordinates are integers in `[0, n)`.
     Interval(u64),

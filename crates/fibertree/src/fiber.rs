@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::coord::{Coord, Shape};
 use crate::error::FibertreeError;
 
 /// The payload of a fiber element: a scalar at the leaves, a child fiber at
 /// intermediate levels.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum Payload {
     /// A scalar value (leaf of the fibertree).
     Val(f64),
@@ -73,7 +71,7 @@ impl From<Fiber> for Payload {
 }
 
 /// One coordinate/payload pair within a fiber.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Element {
     /// The coordinate of this element within its fiber.
     pub coord: Coord,
@@ -108,7 +106,7 @@ impl Element {
 /// assert_eq!(f.occupancy(), 2);
 /// assert_eq!(f.get(&1u64.into()).and_then(|p| p.as_val()), Some(2.0));
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Fiber {
     shape: Shape,
     elems: Vec<Element>,

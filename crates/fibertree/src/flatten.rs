@@ -88,22 +88,21 @@ impl Tensor {
 
 impl CompressedTensor {
     /// Flattens rank `upper` with the rank immediately below it into a
-    /// pair-coordinate rank — the compressed-native counterpart of
-    /// [`Tensor::flatten_rank`], bit-identical to compressing its result.
+    /// tuple-coordinate rank — the compressed-native counterpart of
+    /// [`Tensor::flatten_rank`], bit-identical to compressing its result
+    /// at any flatten depth.
     ///
-    /// Runs as pure segment fusion: the fused level's lower components
-    /// *are* the old lower level's coordinate array (reused as-is), the
-    /// upper components are the old upper coordinates expanded by child
-    /// count, and the fused segment list is the upper segment list
+    /// Runs as pure segment fusion: the fused level's trailing components
+    /// *are* the old lower level's component stores (reused as-is), the
+    /// leading components are the old upper level's stores expanded by
+    /// child count, and the fused segment list is the upper segment list
     /// composed through the lower one. Everything below — and the value
     /// arena — is untouched.
     ///
     /// # Errors
     ///
     /// Returns [`FibertreeError::UnknownRank`] if `upper` is missing or is
-    /// the bottom rank, and [`FibertreeError::NotCompressible`] when
-    /// either rank already holds pair coordinates (a second flatten needs
-    /// the owned path).
+    /// the bottom rank.
     pub fn flatten_rank(
         &self,
         upper: &str,
@@ -117,35 +116,32 @@ impl CompressedTensor {
             });
         }
         let (lu, ll) = (&self.levels[d], &self.levels[d + 1]);
-        if lu.arity() != 1 || ll.arity() != 1 {
-            return Err(FibertreeError::NotCompressible {
-                reason: format!(
-                    "flattening {upper} would produce coordinates deeper than pairs; \
-                     compressed levels hold points or pairs only"
-                ),
-            });
-        }
         let mut rank_ids = self.rank_ids().to_vec();
         let mut shapes = self.rank_shapes().to_vec();
         let flat_shape = shapes[d].flattened_with(&shapes[d + 1]);
         rank_ids.splice(d..=d + 1, [new_name.to_string()]);
         shapes.splice(d..=d + 1, [flat_shape]);
 
-        // Upper components, expanded per child count.
-        let mut upper_store = lu.coords.new_like();
-        for p in 0..lu.coords.len() {
-            let (cs, ce) = (ll.segs[p], ll.segs[p + 1]);
-            let up = lu.coords.get(p);
-            for _ in cs..ce {
-                upper_store.push(up);
+        // The upper level's components, expanded per child count, lead;
+        // the lower level's component stores follow unchanged.
+        let mut upper_stores = Vec::with_capacity(lu.arity() + ll.upper.len());
+        for store in lu.upper.iter().chain([&lu.coords]) {
+            let mut expanded = store.new_like();
+            for p in 0..lu.len() {
+                let c = store.get(p);
+                for _ in ll.segs[p]..ll.segs[p + 1] {
+                    expanded.push(c);
+                }
             }
+            upper_stores.push(expanded);
         }
+        upper_stores.extend(ll.upper.iter().cloned());
         // Fused fiber boundaries: the upper segment list composed through
         // the lower one.
         let segs: Vec<usize> = lu.segs.iter().map(|&f| ll.segs[f]).collect();
         let fused = Level {
             segs,
-            upper: Some(upper_store),
+            upper: upper_stores,
             coords: ll.coords.clone(),
         };
         let mut levels = self.levels.clone();

@@ -19,14 +19,12 @@
 //! fibers, while the simulator's engine consumes the streams directly.
 //! Both report identical [`CoIterStats`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::coord::Coord;
 use crate::fiber::Fiber;
 use crate::view::{CoordKey, FiberView, PayloadView};
 
 /// The intersection unit type (Table 3 of the paper).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum IntersectPolicy {
     /// Classic merge: two pointers advance one coordinate at a time.
     #[default]

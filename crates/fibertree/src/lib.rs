@@ -17,10 +17,9 @@
 //!
 //! - [`Tensor`] — the *owned* fibertree: every fiber is its own
 //!   allocation, payloads nest recursively. Supports in-place writes
-//!   ([`Tensor::set`], [`fiber::Fiber::get_or_insert_with`]) and
-//!   arbitrary-depth flattening into tuple coordinates. Use it for small
-//!   workloads, in-place construction, and as the oracle the compressed
-//!   path is tested against.
+//!   ([`Tensor::set`], [`fiber::Fiber::get_or_insert_with`]). It is the
+//!   oracle the compressed path is tested against; the simulator never
+//!   transforms or produces it.
 //! - [`CompressedTensor`] — *compressed sparse fiber* (CSF) storage: two
 //!   flat arrays per rank (coordinates narrowed to `u32` when the rank
 //!   extent fits) plus one leaf value arena, built in one pass from COO
@@ -36,7 +35,7 @@
 //! key-permutation re-sort (no tree build),
 //! [`CompressedTensor::partition_rank`] a pure segment-array split, and
 //! [`CompressedTensor::flatten_rank`] a segment fusion producing
-//! pair-coordinate levels (one flatten; deeper tuples stay owned). Every
+//! tuple-coordinate levels of any depth. Every
 //! decompression ([`CompressedTensor::to_tensor`]) is counted by
 //! [`telemetry::decompress_count`], so a pipeline that claims to be
 //! compressed-native can prove it.

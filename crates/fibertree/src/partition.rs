@@ -259,7 +259,7 @@ impl CompressedTensor {
     /// # Errors
     ///
     /// Returns an error if the rank is unknown, the split size is zero,
-    /// shape-based splitting hits a pair-coordinate rank, or externally
+    /// shape-based splitting hits a tuple-coordinate rank, or externally
     /// supplied boundaries are not representable at the rank's arity.
     pub fn partition_rank(
         &self,
@@ -290,6 +290,10 @@ impl CompressedTensor {
         }
         let mut upper_level = old.new_like();
         let mut lower_segs: Vec<usize> = vec![0];
+        // Raw keys of the open group's base (empty: no group open yet)
+        // and of the current element's base, reused across elements.
+        let mut current: Vec<u64> = Vec::with_capacity(arity);
+        let mut base: Vec<u64> = vec![0; arity];
 
         self.walk_fibers(d, &mut |idx, path: &[Coord], s, e| {
             let by_path_bounds;
@@ -308,20 +312,18 @@ impl CompressedTensor {
                 }
                 _ => None,
             };
-            let mut current: Option<(u64, u64)> = None;
+            current.clear();
             let mut bi = 0usize;
             for p in s..e {
-                let base: (u64, u64) = match &kind {
+                match &kind {
                     SplitKind::UniformShape(chunk) => {
-                        let c = self.raw_at(d, p).0;
-                        ((c / chunk) * chunk, 0)
+                        base[0] = (old.coords.get(p) / chunk) * chunk;
                     }
                     SplitKind::UniformOccupancy(size) => {
-                        if (p - s) % size == 0 {
-                            self.raw_at(d, p)
-                        } else {
-                            current.expect("a chunk is open after its first element")
+                        if (p - s) % size != 0 {
+                            continue; // inside the open chunk
                         }
+                        old.write_raw(p, &mut base);
                     }
                     SplitKind::Boundaries(_) | SplitKind::BoundariesByPath(_) => {
                         let bounds = bounds.expect("boundary kinds carry bounds");
@@ -331,24 +333,24 @@ impl CompressedTensor {
                         }
                         if bi == 0 {
                             // Precedes every boundary: open leading group.
-                            self.raw_at(d, p)
+                            old.write_raw(p, &mut base);
                         } else {
-                            raw_of_coord(&bounds[bi - 1], arity)?
+                            raw_of_coord(&bounds[bi - 1], &mut base)?;
                         }
                     }
-                };
-                if current != Some(base) {
-                    if current.is_some() {
+                }
+                if current != base {
+                    if !current.is_empty() {
                         lower_segs.push(p);
                     }
-                    upper_level.push_raw(base);
-                    current = Some(base);
+                    upper_level.push_raw(&base);
+                    current.clone_from(&base);
                 }
             }
-            if current.is_some() {
+            if !current.is_empty() {
                 lower_segs.push(e);
             }
-            let end = upper_level.coords.len();
+            let end = upper_level.len();
             upper_level.segs.push(end);
             Ok(())
         })?;
@@ -447,20 +449,29 @@ impl CompressedTensor {
     }
 }
 
-/// Converts a boundary coordinate to a raw key at the given level arity.
-fn raw_of_coord(c: &Coord, arity: usize) -> Result<(u64, u64), FibertreeError> {
-    match (c, arity) {
-        (Coord::Point(p), 1) => Ok((*p, 0)),
-        (Coord::Tuple(cs), 2) => match cs.as_slice() {
-            [Coord::Point(a), Coord::Point(b)] => Ok((*a, *b)),
-            _ => Err(FibertreeError::NotCompressible {
-                reason: format!("boundary coordinate {c} is not a pair of points"),
-            }),
-        },
-        _ => Err(FibertreeError::NotCompressible {
-            reason: format!("boundary coordinate {c} does not match the rank's arity {arity}"),
-        }),
+/// Writes a boundary coordinate's raw key into `out`, whose length is the
+/// level's arity.
+fn raw_of_coord(c: &Coord, out: &mut [u64]) -> Result<(), FibertreeError> {
+    let comps = match c {
+        Coord::Point(_) if out.len() == 1 => std::slice::from_ref(c),
+        Coord::Tuple(cs) if out.len() > 1 && cs.len() == out.len() => cs.as_slice(),
+        _ => {
+            return Err(FibertreeError::NotCompressible {
+                reason: format!(
+                    "boundary coordinate {c} does not match the rank's arity {}",
+                    out.len()
+                ),
+            })
+        }
+    };
+    for (slot, comp) in out.iter_mut().zip(comps) {
+        *slot = comp
+            .as_point()
+            .ok_or_else(|| FibertreeError::NotCompressible {
+                reason: format!("boundary coordinate {c} has non-point components"),
+            })?;
     }
+    Ok(())
 }
 
 fn collect_boundaries_by_path(

@@ -402,8 +402,10 @@ mod tests {
     fn compressed_and_owned_agree() {
         let data = sample();
         let owned = TensorStats::compute(&data);
-        let ct = crate::compressed::CompressedTensor::from_tensor(data.as_owned().unwrap())
-            .expect("compressible");
+        let TensorData::Owned(t) = &data else {
+            unreachable!("the sample is owned")
+        };
+        let ct = crate::compressed::CompressedTensor::from_tensor(t).expect("compressible");
         assert_eq!(ct.statistics(), owned);
         let compressed = TensorData::Compressed(ct);
         assert_eq!(TensorStats::compute(&compressed), owned);

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use crate::builder::CompressedBuilder;
-use crate::compressed::CompressedTensor;
+use crate::compressed::{key_offsets, CompressedTensor};
 use crate::coord::{Coord, Shape};
 use crate::error::FibertreeError;
 use crate::fiber::{Fiber, Payload};
@@ -128,56 +128,67 @@ impl CompressedTensor {
             .collect();
         // Gather every nonzero leaf as its permuted raw key (mirroring
         // Tensor::swizzle, which rebuilds from `leaves()` and therefore
-        // drops explicit zeros). Keys live in one flat buffer, `order`
-        // slots per leaf, and an index sort avoids a per-leaf allocation.
-        let n = self.order();
-        let mut keys: Vec<(u64, u64)> = Vec::with_capacity(n * self.nnz());
+        // drops explicit zeros). Keys live in one flat buffer, one slot
+        // per tuple component per leaf, and an index sort avoids a
+        // per-leaf allocation.
+        let offsets = key_offsets(&self.levels);
+        let width = offsets[self.order()];
+        let spans: Vec<std::ops::Range<usize>> =
+            perm.iter().map(|&i| offsets[i]..offsets[i + 1]).collect();
+        let mut keys: Vec<u64> = Vec::with_capacity(width * self.nnz());
         let mut vals: Vec<f64> = Vec::with_capacity(self.nnz());
-        let mut path = vec![(0u64, 0u64); n];
+        let mut path = vec![0u64; width];
         self.gather_raw(
             0,
             0,
             self.level_len(0),
-            &perm,
+            (&offsets, &spans),
             &mut path,
             &mut keys,
             &mut vals,
         );
-        let idx = sort_permuted_keys(&keys, vals.len(), n, &perm, &shapes);
+        let idx = sort_permuted_keys(&keys, vals.len(), width, &perm, &shapes);
         let mut b = CompressedBuilder::new(
             self.name(),
             order.iter().map(|s| s.to_string()).collect(),
             shapes,
         )?;
         for &i in &idx {
-            b.push_raw(&keys[i * n..(i + 1) * n], vals[i])?;
+            b.push_raw(&keys[i * width..(i + 1) * width], vals[i])?;
         }
         Ok(b.finish())
     }
 
+    /// Gathers the nonzero leaves under elements `[start, end)` of
+    /// `level`: `path` holds the flat raw key so far (rank `d` at
+    /// `offsets[d]..offsets[d + 1]`), and each leaf's key is appended to
+    /// `keys` rank by rank in the permuted order `spans`.
     #[allow(clippy::too_many_arguments)] // internal recursion carrying cursors
     fn gather_raw(
         &self,
         level: usize,
         start: usize,
         end: usize,
-        perm: &[usize],
-        path: &mut [(u64, u64)],
-        keys: &mut Vec<(u64, u64)>,
+        layout: (&[usize], &[std::ops::Range<usize>]),
+        path: &mut [u64],
+        keys: &mut Vec<u64>,
         vals: &mut Vec<f64>,
     ) {
+        let (offsets, spans) = layout;
         let leaf = level + 1 == self.order();
         for p in start..end {
-            path[level] = self.raw_at(level, p);
+            self.levels[level].write_raw(p, &mut path[offsets[level]..offsets[level + 1]]);
             if leaf {
                 let v = self.value_at(p);
                 if v != 0.0 {
-                    keys.extend(perm.iter().map(|&i| path[i]));
+                    for span in spans {
+                        keys.extend_from_slice(&path[span.clone()]);
+                    }
                     vals.push(v);
                 }
             } else {
                 let (cs, ce) = self.child_range(level, p);
-                self.gather_raw(level + 1, cs, ce, perm, path, keys, vals);
+                self.gather_raw(level + 1, cs, ce, layout, path, keys, vals);
             }
         }
     }
@@ -186,18 +197,19 @@ impl CompressedTensor {
 /// Orders the gathered (already permuted) raw keys: returns the index
 /// permutation that sorts `keys` lexicographically.
 ///
-/// `keys` holds `nnz` keys of `n` slots each, gathered in the *old*
+/// `keys` holds `nnz` keys of `width` slots each, gathered in the *old*
 /// lexicographic order. When the permutation pulls one point rank to the
 /// front and keeps the rest in order, a stable counting bucket-sort on
 /// the new leading coordinate is a full sort in `O(nnz + max_coord)`;
 /// otherwise a comparison sort on the whole key runs.
 fn sort_permuted_keys(
-    keys: &[(u64, u64)],
+    keys: &[u64],
     nnz: usize,
-    n: usize,
+    width: usize,
     perm: &[usize],
     shapes: &[Shape],
 ) -> Vec<usize> {
+    let n = perm.len();
     let pull_to_front = !perm.is_empty()
         && perm[1..]
             .iter()
@@ -207,21 +219,21 @@ fn sort_permuted_keys(
         .first()
         .is_some_and(|s| !matches!(s, Shape::Tuple(_)));
     if pull_to_front && leading_is_point && nnz > 0 {
-        let max_lead = (0..nnz).map(|i| keys[i * n].0).max().unwrap_or(0);
+        let max_lead = (0..nnz).map(|i| keys[i * width]).max().unwrap_or(0);
         if let Ok(buckets) = usize::try_from(max_lead) {
             if buckets < 4 * nnz + 4096 {
                 // Counting sort: histogram, exclusive prefix sum, then a
                 // stable scatter of the old-order indices.
                 let mut count = vec![0usize; buckets + 2];
                 for i in 0..nnz {
-                    count[keys[i * n].0 as usize + 1] += 1;
+                    count[keys[i * width] as usize + 1] += 1;
                 }
                 for b in 1..count.len() {
                     count[b] += count[b - 1];
                 }
                 let mut idx = vec![0usize; nnz];
                 for i in 0..nnz {
-                    let b = keys[i * n].0 as usize;
+                    let b = keys[i * width] as usize;
                     idx[count[b]] = i;
                     count[b] += 1;
                 }
@@ -230,7 +242,9 @@ fn sort_permuted_keys(
         }
     }
     let mut idx: Vec<usize> = (0..nnz).collect();
-    idx.sort_unstable_by(|&a, &b| keys[a * n..(a + 1) * n].cmp(&keys[b * n..(b + 1) * n]));
+    idx.sort_unstable_by(|&a, &b| {
+        keys[a * width..(a + 1) * width].cmp(&keys[b * width..(b + 1) * width])
+    });
     idx
 }
 

@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::coord::{Coord, Shape};
 use crate::error::FibertreeError;
 use crate::fiber::{Fiber, Payload};
@@ -31,7 +29,7 @@ use crate::fiber::{Fiber, Payload};
 /// assert_eq!(a.get(&[0, 2]), Some(3.0));
 /// assert_eq!(a.get(&[1, 1]), None);
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Tensor {
     name: String,
     rank_ids: Vec<String>,

@@ -50,34 +50,24 @@ pub enum PayloadView<'a> {
 
 /// A borrowed-or-inline coordinate, for comparisons that must not
 /// allocate: owned fibers lend `&Coord` (possibly a tuple), compressed
-/// fibers produce inline points or pairs (flattened ranks).
+/// fibers produce inline points, or borrow a flattened rank's tuple in
+/// place.
 #[derive(Clone, Copy, Debug)]
 pub enum CoordKey<'a> {
     /// A coordinate borrowed from an owned fiber.
     Borrowed(&'a Coord),
     /// An inline point coordinate from a compressed fiber.
     Point(u64),
-    /// An inline pair coordinate from a compressed flattened rank.
-    Pair(u64, u64),
-}
-
-/// Compares an inline `(a, b)` pair against a materialized coordinate,
-/// agreeing with [`Coord`]'s derived `Ord` (points before tuples, tuples
-/// lexicographic with length tiebreak) without allocating.
-#[inline]
-fn pair_cmp_coord(a: u64, b: u64, other: &Coord) -> Ordering {
-    match other {
-        Coord::Point(_) => Ordering::Greater,
-        Coord::Tuple(cs) => {
-            for (mine, theirs) in [Coord::Point(a), Coord::Point(b)].iter().zip(cs) {
-                match mine.cmp(theirs) {
-                    Ordering::Equal => {}
-                    o => return o,
-                }
-            }
-            2usize.cmp(&cs.len())
-        }
-    }
+    /// A tuple coordinate of a compressed flattened rank, of any arity:
+    /// element `pos` of rank `level` in `tree`, read in place.
+    Tuple {
+        /// The backing compressed tensor.
+        tree: &'a CompressedTensor,
+        /// The flattened rank (level).
+        level: usize,
+        /// The element's position in the level's flat arrays.
+        pos: usize,
+    },
 }
 
 impl CoordKey<'_> {
@@ -87,10 +77,10 @@ impl CoordKey<'_> {
     pub fn cmp_key(&self, other: &CoordKey<'_>) -> Ordering {
         match (self, other) {
             (CoordKey::Point(a), CoordKey::Point(b)) => a.cmp(b),
-            (CoordKey::Pair(a, b), CoordKey::Pair(c, d)) => (a, b).cmp(&(c, d)),
-            (CoordKey::Point(_), CoordKey::Pair(..)) => Ordering::Less,
-            (CoordKey::Pair(..), CoordKey::Point(_)) => Ordering::Greater,
-            (CoordKey::Borrowed(a), CoordKey::Borrowed(b)) => a.cmp(b),
+            (CoordKey::Tuple { tree, level, pos }, _) => tree.cmp_key_at(*level, *pos, other),
+            (_, CoordKey::Tuple { tree, level, pos }) => {
+                tree.cmp_key_at(*level, *pos, self).reverse()
+            }
             (CoordKey::Borrowed(a), _) => other.cmp_coord(a).reverse(),
             (_, CoordKey::Borrowed(b)) => self.cmp_coord(b),
         }
@@ -102,7 +92,9 @@ impl CoordKey<'_> {
         match self {
             CoordKey::Borrowed(a) => (*a).cmp(other),
             CoordKey::Point(a) => Coord::Point(*a).cmp(other),
-            CoordKey::Pair(a, b) => pair_cmp_coord(*a, *b, other),
+            CoordKey::Tuple { tree, level, pos } => {
+                tree.cmp_key_at(*level, *pos, &CoordKey::Borrowed(other))
+            }
         }
     }
 
@@ -112,7 +104,7 @@ impl CoordKey<'_> {
         match self {
             CoordKey::Borrowed(c) => (*c).clone(),
             CoordKey::Point(p) => Coord::Point(*p),
-            CoordKey::Pair(a, b) => Coord::pair(*a, *b),
+            CoordKey::Tuple { tree, level, pos } => tree.coord_at_level(*level, *pos),
         }
     }
 }
@@ -320,10 +312,9 @@ impl<'a> PayloadView<'a> {
 
 /// A tensor in either representation, presented uniformly.
 ///
-/// The simulator takes its inputs as `TensorData`: owned trees when the
-/// workload is small or needs in-place construction, compressed storage
-/// when it is large and read-only. [`TensorData::root_view`] hands the
-/// engine a cursor either way.
+/// The simulator takes its inputs as `TensorData` in either
+/// representation and streams them through [`TensorData::root_view`]
+/// cursors; everything it transforms or produces is compressed storage.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TensorData {
     /// An owned fibertree.
@@ -400,31 +391,6 @@ impl TensorData {
     /// The root fiber view, if this is not a scalar.
     pub fn root_fiber_view(&self) -> Option<FiberView<'_>> {
         self.root_view().as_fiber()
-    }
-
-    /// Materializes an owned tensor (clones owned storage, decompresses
-    /// compressed storage). The transform pipeline operates on the result.
-    pub fn to_tensor(&self) -> Tensor {
-        match self {
-            TensorData::Owned(t) => t.clone(),
-            TensorData::Compressed(c) => c.to_tensor(),
-        }
-    }
-
-    /// Consumes `self`, yielding an owned tensor.
-    pub fn into_tensor(self) -> Tensor {
-        match self {
-            TensorData::Owned(t) => t,
-            TensorData::Compressed(c) => c.to_tensor(),
-        }
-    }
-
-    /// Borrows the owned tensor, if this is the owned representation.
-    pub fn as_owned(&self) -> Option<&Tensor> {
-        match self {
-            TensorData::Owned(t) => Some(t),
-            TensorData::Compressed(_) => None,
-        }
     }
 
     /// Looks up the value at a point, in either representation.
@@ -555,11 +521,28 @@ impl TensorData {
     }
 }
 
+/// Renders like [`Tensor`]'s `Display` (`Z[M, N] = [0: [1: 2.5]]`) in
+/// either representation.
 impl std::fmt::Display for TensorData {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TensorData::Owned(t) => t.fmt(f),
-            TensorData::Compressed(c) => c.fmt(f),
+        fn fiber(f: &mut std::fmt::Formatter<'_>, v: FiberView<'_>) -> std::fmt::Result {
+            write!(f, "[")?;
+            for (i, (c, p)) in v.iter().enumerate() {
+                if i > 0 {
+                    write!(f, ", ")?;
+                }
+                write!(f, "{c}: ")?;
+                match p {
+                    PayloadView::Val(x) => write!(f, "{x}")?,
+                    PayloadView::Fiber(child) => fiber(f, child)?,
+                }
+            }
+            write!(f, "]")
+        }
+        write!(f, "{}[{}] = ", self.name(), self.rank_ids().join(", "))?;
+        match self.root_view() {
+            PayloadView::Val(v) => write!(f, "{v}"),
+            PayloadView::Fiber(v) => fiber(f, v),
         }
     }
 }
@@ -645,6 +628,43 @@ mod tests {
             std::cmp::Ordering::Less
         );
         assert_eq!(CoordKey::Point(3).to_coord(), Coord::Point(3));
+
+        // In-place tuple keys of pair and arity-3 ranks order exactly like
+        // their materialized coordinates, against each other, points and
+        // borrowed tuples.
+        let t = crate::tensor::TensorBuilder::new("T", &["A", "B", "C"], &[3, 3, 3])
+            .entries(
+                (0..27)
+                    .step_by(4)
+                    .map(|i| (vec![i / 9, (i / 3) % 3, i % 3], 1.0)),
+            )
+            .build()
+            .unwrap();
+        let pair = CompressedTensor::from_tensor(&t.flatten_rank("B", "BC").unwrap()).unwrap();
+        let flat = t.flatten_rank("A", "AB").unwrap().flatten_rank("AB", "ABC");
+        let triple = CompressedTensor::from_tensor(&flat.unwrap()).unwrap();
+        let keys: Vec<CoordKey<'_>> = [&pair, &triple]
+            .iter()
+            .flat_map(|c| {
+                let level = c.order() - 1;
+                (0..c.level_len(level)).map(move |p| c.coord_key(level, p))
+            })
+            .chain([CoordKey::Point(1), CoordKey::Borrowed(&tuple)])
+            .collect();
+        for a in &keys {
+            for b in &keys {
+                let want = a.to_coord().cmp(&b.to_coord());
+                assert_eq!(a.cmp_key(b), want, "{} vs {}", a.to_coord(), b.to_coord());
+                assert_eq!(a.cmp_coord(&b.to_coord()), want);
+            }
+        }
+    }
+
+    #[test]
+    fn display_matches_the_owned_tree() {
+        let (o, c) = both_views();
+        assert_eq!(c.to_string(), fig1_matrix_a().to_string());
+        assert_eq!(o.to_string(), c.to_string());
     }
 
     #[test]

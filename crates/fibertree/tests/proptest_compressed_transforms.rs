@@ -98,6 +98,18 @@ proptest! {
                 |c| c.flatten_rank(rank, "F"),
             )?;
         }
+        // Arity 3, fused from either side: a pair rank absorbing the
+        // point rank below it, and a point rank absorbing a pair below.
+        assert_oracle(
+            &t,
+            |t| t.flatten_rank("M", "MK")?.flatten_rank("MK", "MKN"),
+            |c| c.flatten_rank("M", "MK")?.flatten_rank("MK", "MKN"),
+        )?;
+        assert_oracle(
+            &t,
+            |t| t.flatten_rank("K", "KN")?.flatten_rank("M", "MKN"),
+            |c| c.flatten_rank("K", "KN")?.flatten_rank("M", "MKN"),
+        )?;
     }
 
     #[test]
@@ -116,6 +128,22 @@ proptest! {
             |c| {
                 c.flatten_rank("M", "MK")?
                     .partition_rank("MK", SplitKind::UniformOccupancy(size), "MK1", "MK0")
+            },
+        )?;
+        // The same on an arity-3 rank, swizzled back out of the split.
+        assert_oracle(
+            &t,
+            |t| {
+                t.flatten_rank("K", "KN")?
+                    .flatten_rank("M", "MKN")?
+                    .partition_rank("MKN", SplitKind::UniformOccupancy(size), "P1", "P0")?
+                    .swizzle(&["P0", "P1"])
+            },
+            |c| {
+                c.flatten_rank("K", "KN")?
+                    .flatten_rank("M", "MKN")?
+                    .partition_rank("MKN", SplitKind::UniformOccupancy(size), "P1", "P0")?
+                    .swizzle(&["P0", "P1"])
             },
         )?;
     }
@@ -222,7 +250,7 @@ fn error_paths_match_the_owned_transforms() {
         flat.partition_rank("MK", SplitKind::UniformShape(2), "U", "L"),
         Err(FibertreeError::NotAnInterval { .. })
     ));
-    // A second flatten needs the owned path.
+    // A second flatten stays compressed and lands on the owned result.
     let t3 = Tensor::from_entries(
         "T",
         &["A", "B", "C"],
@@ -232,9 +260,24 @@ fn error_paths_match_the_owned_transforms() {
     .unwrap();
     let c3 = CompressedTensor::from_tensor(&t3).unwrap();
     let once = c3.flatten_rank("A", "AB").unwrap();
+    let owned = t3
+        .flatten_rank("A", "AB")
+        .unwrap()
+        .flatten_rank("AB", "ABC")
+        .unwrap();
+    assert_eq!(
+        once.flatten_rank("AB", "ABC").unwrap(),
+        CompressedTensor::from_tensor(&owned).unwrap()
+    );
+    // Shape-splitting an arity-3 rank fails like the owned NotAnInterval.
     assert!(matches!(
-        once.flatten_rank("AB", "ABC"),
-        Err(FibertreeError::NotCompressible { .. })
+        once.flatten_rank("AB", "ABC").unwrap().partition_rank(
+            "ABC",
+            SplitKind::UniformShape(2),
+            "U",
+            "L"
+        ),
+        Err(FibertreeError::NotAnInterval { .. })
     ));
 }
 

@@ -14,7 +14,7 @@
 #![warn(missing_docs)]
 
 use teaal_accel::vertex_centric::{self, GraphDesign, GRAPHDYNS_CHUNKS};
-use teaal_fibertree::{Tensor, TensorData};
+use teaal_fibertree::{CompressedBuilder, Shape, TensorData};
 use teaal_sim::{CancelToken, EvalLimits, OpTable, SimError};
 use teaal_workloads::Graph;
 
@@ -195,8 +195,7 @@ pub fn run_with_limits(
     // storage order (so the engine's offline swizzle is the identity) and
     // *borrowed* by every superstep — the engine iterates it through
     // cursors, so a multi-million-edge graph is never cloned or rebuilt.
-    // Supersteps run through `run_data_compressed`, so per-iteration
-    // outputs stream into CSF arrays instead of rebuilding owned trees.
+    // Per-iteration vectors and outputs are CSF arrays too.
     let g = TensorData::Compressed(graph.compressed_source_major("G", ["S", "V"], weighted));
 
     let mut properties = vec![UNDISCOVERED; v as usize];
@@ -220,7 +219,7 @@ pub fn run_with_limits(
             v,
             properties.iter().enumerate().map(|(i, &p)| (i as u64, p)),
         );
-        let report = sim.run_data_compressed(&[&g, &a0, &p0])?;
+        let report = sim.run_data(&[&g, &a0, &p0])?;
 
         let r = report.outputs.get("R").map_or(0, TensorData::nnz);
         let modified = report.outputs.get("M").map_or(0, TensorData::nnz);
@@ -293,28 +292,30 @@ pub fn run_with_limits(
     Ok(VertexRun { distances, metrics })
 }
 
-/// Builds a 1-tensor that may legitimately hold `0.0` payloads (the root's
-/// distance), bypassing the implicit-zero dropping of
-/// `Tensor::from_entries`. Frontier and property vectors are small and
-/// rebuilt each superstep, so they stay in the owned representation.
+/// Builds a compressed 1-tensor that may legitimately hold `0.0`
+/// payloads (the root's distance): the builder keeps explicit zeros,
+/// unlike `CompressedTensor::from_entries`. Coordinates are distinct.
 fn build_vector(
     name: &str,
     rank: &str,
     extent: u64,
     entries: impl Iterator<Item = (u64, f64)>,
 ) -> TensorData {
-    let mut t = Tensor::empty(name, &[rank], &[extent]);
     let mut sorted: Vec<(u64, f64)> = entries.collect();
     sorted.sort_by_key(|(c, _)| *c);
+    let mut b = CompressedBuilder::new(name, vec![rank.to_string()], vec![Shape::Interval(extent)])
+        .expect("interval shapes compress");
     for (c, val) in sorted {
-        t.set(&[c], val);
+        b.push_point(&[c], val)
+            .expect("sorted, in-shape coordinates");
     }
-    TensorData::Owned(t)
+    TensorData::Compressed(b.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teaal_fibertree::Tensor;
     use teaal_workloads::graphs::{reference_bfs, reference_sssp};
 
     fn small_graph(weighted: bool) -> Graph {
@@ -394,7 +395,7 @@ mod tests {
     #[test]
     fn supersteps_never_decompress_the_adjacency() {
         // The driver borrows one compressed adjacency across every
-        // superstep and assembles outputs through run_data_compressed;
+        // superstep and assembles outputs as compressed storage;
         // nothing on that path may round-trip through an owned tree. The
         // counter is process-wide and monotonic, so this holds even with
         // the other tests running concurrently — none of them may

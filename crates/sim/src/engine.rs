@@ -11,7 +11,10 @@
 //! [`TensorData`] inputs: untransformed tensors (owned or compressed) are
 //! borrowed, never cloned, and each loop level consumes a lazy
 //! intersection/union stream instead of materializing a match list — the
-//! engine allocates per *level*, not per *step*.
+//! engine allocates per *level*, not per *step*. Everything the engine
+//! transforms or produces is compressed (CSF) storage: an owned input
+//! that needs transforming is compressed once, and outputs drain
+//! through a [`CompressedBuilder`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -24,11 +27,9 @@ use teaal_fibertree::iterate::{
     IntersectStream, UnionStream,
 };
 use teaal_fibertree::partition::SplitKind;
-use teaal_fibertree::swizzle::from_coord_entries;
 use teaal_fibertree::{
     telemetry, BoundaryRecord, CompressedBuilder, CompressedTensor, Coord, FiberView,
-    IntersectPolicy, MergeRecord, PayloadView, Shape, Tensor, TensorData, TransformCache,
-    TransformedView,
+    IntersectPolicy, MergeRecord, PayloadView, Shape, TensorData, TransformCache, TransformedView,
 };
 
 use crate::counters::{Instruments, MergeGroup};
@@ -56,12 +57,11 @@ pub struct Engine<'p> {
 }
 
 /// One prepared input: either the untransformed tensor borrowed straight
-/// from the environment, a freshly transformed tensor this execution
-/// owns, or a shared transformed view out of the pipeline's
-/// [`TransformCache`]. The nest walk only ever needs `&TensorData`.
+/// from the environment, or a transformed view — shared out of the
+/// pipeline's [`TransformCache`], or built for this execution alone. The
+/// nest walk only ever needs `&TensorData`.
 enum PreparedInput<'t> {
     Borrowed(&'t TensorData),
-    Owned(TensorData),
     Shared(Arc<TransformedView>),
 }
 
@@ -69,7 +69,6 @@ impl PreparedInput<'_> {
     fn data(&self) -> &TensorData {
         match self {
             PreparedInput::Borrowed(t) => t,
-            PreparedInput::Owned(t) => t,
             PreparedInput::Shared(v) => &v.tensor,
         }
     }
@@ -197,32 +196,13 @@ impl<'p> Engine<'p> {
         self
     }
 
-    /// Executes the plan, assembling an owned output tensor.
-    ///
-    /// Convenience wrapper over [`Engine::execute_data`] with an owned
-    /// output.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::execute_data`].
-    pub fn execute(
-        &self,
-        inputs: &BTreeMap<String, &TensorData>,
-        instruments: &mut Instruments,
-        boundaries: &mut BoundaryCache,
-    ) -> Result<Tensor, SimError> {
-        self.execute_data(inputs, instruments, boundaries, false)
-            .map(TensorData::into_tensor)
-    }
-
     /// Executes the plan.
     ///
     /// `inputs` must contain every input tensor (cascade inputs and
     /// already-produced intermediates) in either representation;
     /// `instruments` receives the access stream; `boundaries` carries
-    /// leader partition boundaries across tensors. With
-    /// `compressed_output`, the accumulated output drains through a
-    /// [`CompressedBuilder`] into CSF storage instead of an owned tree —
+    /// leader partition boundaries across tensors. The accumulated
+    /// output drains through a [`CompressedBuilder`] into CSF storage —
     /// `O(output nnz)` allocations, no tree build.
     ///
     /// # Errors
@@ -235,19 +215,14 @@ impl<'p> Engine<'p> {
         inputs: &BTreeMap<String, &'t TensorData>,
         instruments: &mut Instruments,
         boundaries: &mut BoundaryCache,
-        compressed_output: bool,
     ) -> Result<TensorData, SimError> {
         // 1. Transform inputs per plan (leaders first — plan order).
         // Untransformed inputs are borrowed rather than cloned — the graph
         // driver re-executes cascades every superstep against the same
-        // multi-million-entry compressed adjacency. Compressed inputs run
-        // the transform pipeline compressed-natively whenever the result
-        // is representable (everything except flattening beyond pair
-        // coordinates); only then does the owned path serve as fallback,
-        // and the choice is decided *up front* so no instrument effects
-        // are ever half-applied. With a [`TransformCache`] attached,
-        // content-determined chains are served from the cache and their
-        // recorded side effects replayed.
+        // multi-million-entry compressed adjacency. Transform chains run
+        // on CSF arrays (an owned input is compressed once first). With a
+        // [`TransformCache`] attached, content-determined chains are
+        // served from the cache and their recorded side effects replayed.
         let mut tensors: Vec<PreparedInput<'t>> = Vec::new();
         let mut tensor_names: Vec<String> = Vec::new();
         for tp in &self.plan.tensor_plans {
@@ -265,27 +240,17 @@ impl<'p> Engine<'p> {
                     })?;
             let needs_swizzle = input.rank_ids() != tp.initial_order.as_slice();
             let t = if needs_swizzle || !tp.steps.is_empty() {
-                let native = matches!(
-                    input, TensorData::Compressed(c) if compressed_pipeline_supported(c, tp));
+                let build = || self.run_transform_chain(input, tp, needs_swizzle, boundaries);
                 let cached = self.transforms.as_ref().and_then(|cache| {
-                    let key = self.transform_key(input, tp, needs_swizzle, native, boundaries)?;
-                    Some(cache.get_or_build(key, || {
-                        self.run_transform_chain(input, tp, needs_swizzle, native, boundaries)
-                    }))
+                    let key = self.transform_key(input, tp, needs_swizzle, boundaries)?;
+                    Some(cache.get_or_build(key, build))
                 });
-                match cached {
-                    Some(view) => {
-                        let view = view?;
-                        apply_view_effects(&view, instruments, boundaries);
-                        PreparedInput::Shared(view)
-                    }
-                    None => {
-                        let view =
-                            self.run_transform_chain(input, tp, needs_swizzle, native, boundaries)?;
-                        apply_view_effects(&view, instruments, boundaries);
-                        PreparedInput::Owned(view.tensor)
-                    }
-                }
+                let view = match cached {
+                    Some(view) => view?,
+                    None => Arc::new(build()?),
+                };
+                apply_view_effects(&view, instruments, boundaries);
+                PreparedInput::Shared(view)
             } else {
                 PreparedInput::Borrowed(input)
             };
@@ -352,11 +317,9 @@ impl<'p> Engine<'p> {
         if let Some(token) = &self.cancel {
             token.checkpoint()?;
         }
-        if let Some(shard_plan) = self.plan_shards(&exec, &tensors, instruments, compressed_output)
-        {
+        if let Some(shard_plan) = self.plan_shards(&exec, &tensors, instruments) {
             let snapshot = instruments.clone();
-            match self.execute_sharded(&exec, &tensors, instruments, &shard_plan, compressed_output)
-            {
+            match self.execute_sharded(&exec, &tensors, instruments, &shard_plan) {
                 Err(SimError::WorkerPanic { .. }) => {
                     *instruments = snapshot;
                     telemetry::note_degraded_sequential();
@@ -372,9 +335,9 @@ impl<'p> Engine<'p> {
                 .collect(),
             binds: Vec::new(),
             space: Vec::new(),
-            out: if compressed_output && concordant {
+            out: if concordant {
                 OutAcc::Stream {
-                    builder: self.output_builder()?,
+                    builder: self.output_builder(&self.plan.output.target_order)?,
                     pending: None,
                 }
             } else {
@@ -386,19 +349,10 @@ impl<'p> Engine<'p> {
 
         // 4. Assemble the output tensor.
         match state.out {
-            OutAcc::Stream { builder, pending } => self
-                .finish_stream(builder, pending)
-                .map(TensorData::Compressed),
-            OutAcc::Map(map) => {
-                if compressed_output {
-                    self.build_output_as::<CompressedTensor>(map, instruments)
-                        .map(TensorData::Compressed)
-                } else {
-                    self.build_output_as::<Tensor>(map, instruments)
-                        .map(TensorData::Owned)
-                }
-            }
+            OutAcc::Stream { builder, pending } => self.finish_stream(builder, pending),
+            OutAcc::Map(map) => self.build_output(map, instruments),
         }
+        .map(TensorData::Compressed)
     }
 
     /// Whether the loop order is concordant with the output rank order:
@@ -433,18 +387,18 @@ impl<'p> Engine<'p> {
         })
     }
 
-    /// A streaming output builder shaped exactly like
-    /// [`Engine::build_output_as`]'s target-order sink, so streamed and
-    /// buffered outputs are bit-identical.
-    fn output_builder(&self) -> Result<CompressedBuilder, SimError> {
-        let target = self.plan.output.target_order.clone();
-        let shapes: Vec<Shape> = target
+    /// An output builder over `ranks` (the target order, or the
+    /// production order of an online swizzle); unknown extents get a
+    /// huge interval. Streamed and buffered outputs share it, so they are
+    /// bit-identical.
+    fn output_builder(&self, ranks: &[String]) -> Result<CompressedBuilder, SimError> {
+        let shapes = ranks
             .iter()
             .map(|r| Shape::Interval(self.rank_extents.get(r).copied().unwrap_or(u64::MAX / 2)))
             .collect();
         Ok(CompressedBuilder::new(
             &self.plan.output.tensor,
-            target,
+            ranks.to_vec(),
             shapes,
         )?)
     }
@@ -475,7 +429,6 @@ impl<'p> Engine<'p> {
         exec: &Exec<'_, 'p>,
         tensors: &[PreparedInput<'_>],
         instruments: &Instruments,
-        compressed_output: bool,
     ) -> Option<ShardPlan> {
         if self.threads < 2 {
             return None;
@@ -608,7 +561,7 @@ impl<'p> Engine<'p> {
                 return None;
             }
         }
-        let stream_out = disjoint && compressed_output && self.output_concordant();
+        let stream_out = disjoint && self.output_concordant();
 
         Some(ShardPlan {
             ranges,
@@ -627,7 +580,6 @@ impl<'p> Engine<'p> {
         tensors: &[PreparedInput<'_>],
         instruments: &mut Instruments,
         shard_plan: &ShardPlan,
-        compressed_output: bool,
     ) -> Result<TensorData, SimError> {
         let stream_out = shard_plan.stream_out;
         let is_take = exec.take_which.is_some();
@@ -672,7 +624,8 @@ impl<'p> Engine<'p> {
                                     space: Vec::new(),
                                     out: if stream_out {
                                         OutAcc::Stream {
-                                            builder: self.output_builder()?,
+                                            builder: self
+                                                .output_builder(&self.plan.output.target_order)?,
                                             pending: None,
                                         }
                                     } else {
@@ -713,7 +666,7 @@ impl<'p> Engine<'p> {
         let base_updates = instruments.output.updates;
         let mut merged_out: BTreeMap<Vec<u64>, f64> = BTreeMap::new();
         let mut merged_builder = if stream_out {
-            Some(self.output_builder()?)
+            Some(self.output_builder(&self.plan.output.target_order)?)
         } else {
             None
         };
@@ -790,13 +743,8 @@ impl<'p> Engine<'p> {
         }
         // Buffered shards assemble through the shared drain, exactly like
         // a sequential run over the merged accumulator.
-        if compressed_output {
-            self.build_output_as::<CompressedTensor>(merged_out, instruments)
-                .map(TensorData::Compressed)
-        } else {
-            self.build_output_as::<Tensor>(merged_out, instruments)
-                .map(TensorData::Owned)
-        }
+        self.build_output(merged_out, instruments)
+            .map(TensorData::Compressed)
     }
 
     /// The content-address of one input's transform chain, or `None` when
@@ -807,15 +755,13 @@ impl<'p> Engine<'p> {
     ///
     /// The key covers everything [`Engine::run_transform_chain`] reads:
     /// the input's content hash, the plan's initial order and steps, the
-    /// online-swizzle flag (it decides merge recording), the native/owned
-    /// path choice (it decides the result representation), and — for
+    /// online-swizzle flag (it decides merge recording), and — for
     /// followers resolved from `outer` — the exact boundary lists.
     fn transform_key(
         &self,
         input: &TensorData,
         tp: &TensorPlan,
         needs_swizzle: bool,
-        native: bool,
         outer: &BoundaryCache,
     ) -> Option<u64> {
         let mut h = Fnv1a::new();
@@ -828,7 +774,6 @@ impl<'p> Engine<'p> {
         }
         h.write_u64(u64::from(needs_swizzle));
         h.write_u64(u64::from(tp.online_swizzle));
-        h.write_u64(u64::from(native));
         // Ranks this chain's own leader steps publish; follower steps
         // reading them are content-determined.
         let mut local_leaders: BTreeSet<(&str, &str)> = BTreeSet::new();
@@ -860,7 +805,6 @@ impl<'p> Engine<'p> {
         input: &TensorData,
         tp: &TensorPlan,
         needs_swizzle: bool,
-        native: bool,
         outer: &BoundaryCache,
     ) -> Result<TransformedView, SimError> {
         teaal_core::failpoint::hit("transform.swizzle").map_err(SimError::Fibertree)?;
@@ -869,37 +813,23 @@ impl<'p> Engine<'p> {
         let mut published: Vec<BoundaryRecord> = Vec::new();
         // Followers see outer leaders plus any this chain publishes.
         let mut local: BoundaryCache = outer.clone();
-        let tensor = if native {
-            let TensorData::Compressed(c) = input else {
-                unreachable!("native path implies compressed input");
-            };
-            let ct = self.transform_compressed(
-                c,
-                tp,
-                needs_swizzle,
-                &mut merges,
-                &mut local,
-                &mut published,
-            )?;
-            TensorData::Compressed(ct)
-        } else {
-            let mut t = input.to_tensor();
-            if needs_swizzle {
-                let want: Vec<&str> = tp.initial_order.iter().map(String::as_str).collect();
-                t = t.swizzle(&want)?;
+        let compressed;
+        let source = match input {
+            TensorData::Compressed(c) => c,
+            TensorData::Owned(t) => {
+                compressed = CompressedTensor::from_tensor(t)?;
+                &compressed
             }
-            for step in &tp.steps {
-                t = self.apply_step(
-                    t,
-                    tp.online_swizzle,
-                    step,
-                    &mut merges,
-                    &mut local,
-                    &mut published,
-                )?;
-            }
-            TensorData::Owned(t)
         };
+        let tensor = TensorData::Compressed(self.transform_compressed(
+            source,
+            tp,
+            needs_swizzle,
+            &mut merges,
+            &mut local,
+            &mut published,
+        )?);
+
         Ok(TransformedView {
             tensor,
             merges: merges
@@ -914,9 +844,7 @@ impl<'p> Engine<'p> {
         })
     }
 
-    /// Applies a compressed input's transform pipeline entirely on CSF
-    /// arrays. [`compressed_pipeline_supported`] must have approved the
-    /// plan; failures here are real errors, never silent fallbacks.
+    /// Applies an input's transform pipeline entirely on CSF arrays.
     fn transform_compressed(
         &self,
         input: &CompressedTensor,
@@ -936,13 +864,7 @@ impl<'p> Engine<'p> {
             let next = match step {
                 PlanStep::Swizzle(order) => {
                     if tp.online_swizzle {
-                        record_merge_groups_view(
-                            cur.name(),
-                            cur.rank_ids(),
-                            FiberView::of_compressed(&cur),
-                            order,
-                            merges,
-                        );
+                        record_merge_groups(&cur, order, merges);
                     }
                     let o: Vec<&str> = order.iter().map(String::as_str).collect();
                     cur.swizzle(&o)?
@@ -991,258 +913,53 @@ impl<'p> Engine<'p> {
         Ok(cur.into_owned())
     }
 
-    fn apply_step(
-        &self,
-        t: Tensor,
-        online: bool,
-        step: &PlanStep,
-        merges: &mut Vec<MergeGroup>,
-        boundaries: &mut BoundaryCache,
-        published: &mut Vec<BoundaryRecord>,
-    ) -> Result<Tensor, SimError> {
-        Ok(match step {
-            PlanStep::Swizzle(order) => {
-                if online {
-                    record_merge_groups(&t, order, merges);
-                }
-                let o: Vec<&str> = order.iter().map(String::as_str).collect();
-                t.swizzle(&o)?
-            }
-            PlanStep::Flatten { upper, new_name } => t.flatten_rank(upper, new_name)?,
-            PlanStep::SplitShape {
-                rank,
-                size,
-                upper,
-                lower,
-            } => t.partition_rank(rank, SplitKind::UniformShape(*size), upper, lower)?,
-            PlanStep::SplitOccLeader {
-                rank,
-                size,
-                upper,
-                lower,
-            } => {
-                let bounds = t.occupancy_boundaries_by_path(rank, *size)?;
-                published.push(BoundaryRecord {
-                    rank: rank.clone(),
-                    leader: t.name().to_string(),
-                    bounds: bounds.clone(),
-                });
-                boundaries.insert((rank.clone(), t.name().to_string()), bounds);
-                t.partition_rank(rank, SplitKind::UniformOccupancy(*size), upper, lower)?
-            }
-            PlanStep::SplitOccFollower {
-                rank,
-                leader,
-                size: _,
-                upper,
-                lower,
-            } => {
-                let bounds = boundaries
-                    .get(&(rank.clone(), leader.clone()))
-                    .cloned()
-                    .ok_or_else(|| SimError::MissingBoundaries {
-                        rank: rank.clone(),
-                        leader: leader.clone(),
-                    })?;
-                t.partition_rank(rank, SplitKind::BoundariesByPath(bounds), upper, lower)?
-            }
-        })
-    }
-
-    /// Assembles the output through one drain shared by both
-    /// representations: filter semiring zeros, optionally permute to
-    /// production order, build via the sink, record online-swizzle merge
-    /// groups, and swizzle back to the target order. Owned and compressed
-    /// outputs therefore stay in lockstep by construction — the
-    /// bit-identical-instruments guarantee cannot drift between two
-    /// copies of this logic.
-    fn build_output_as<S: OutputSink>(
+    /// Assembles a buffered output: filter semiring zeros, optionally
+    /// permute to production order, build, record online-swizzle merge
+    /// groups, and swizzle back to the target order.
+    fn build_output(
         &self,
         acc: BTreeMap<Vec<u64>, f64>,
         instruments: &mut Instruments,
-    ) -> Result<S, SimError> {
+    ) -> Result<CompressedTensor, SimError> {
         let out_plan = &self.plan.output;
-        let target: Vec<String> = out_plan.target_order.clone();
-        let shapes: Vec<Shape> = target
-            .iter()
-            .map(|r| Shape::Interval(self.rank_extents.get(r).copied().unwrap_or(u64::MAX / 2)))
-            .collect();
+        let target = &out_plan.target_order;
         let zero = self.ops.semiring.zero();
         let filtered = acc.into_iter().filter(|(_, v)| *v != zero);
-
-        if out_plan.online_swizzle {
-            // Build in production order first so the merge fan-in reflects
-            // how the hardware sees the data, then swizzle.
-            let produced = &out_plan.produced_order;
-            let perm: Vec<usize> = produced
-                .iter()
-                .map(|r| {
-                    target
-                        .iter()
-                        .position(|t| t == r)
-                        .expect("produced ⊆ target")
-                })
-                .collect();
-            let mut prod_entries: Vec<(Vec<u64>, f64)> = filtered
-                .map(|(k, v)| (perm.iter().map(|&i| k[i]).collect(), v))
-                .collect();
-            prod_entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            let prod_shapes: Vec<Shape> = perm.iter().map(|&i| shapes[i].clone()).collect();
-            let prod = S::build(
-                &out_plan.tensor,
-                produced.clone(),
-                prod_shapes,
-                prod_entries,
-            )?;
-            prod.record_merges(&target, &mut instruments.merges);
-            let o: Vec<&str> = target.iter().map(String::as_str).collect();
-            return prod.swizzled(&o);
+        if !out_plan.online_swizzle {
+            return drain(self.output_builder(target)?, filtered);
         }
-
-        S::build(&out_plan.tensor, target, shapes, filtered.collect())
-    }
-}
-
-/// An output representation the engine can drain its accumulator into.
-/// The sink sees sorted, zero-filtered point entries; both
-/// implementations must stay content-equivalent (pinned by the
-/// `owned_vs_compressed` and `compressed_native` suites).
-trait OutputSink: Sized {
-    fn build(
-        name: &str,
-        rank_ids: Vec<String>,
-        rank_shapes: Vec<Shape>,
-        entries: Vec<(Vec<u64>, f64)>,
-    ) -> Result<Self, SimError>;
-    fn record_merges(&self, new_order: &[String], merges: &mut Vec<MergeGroup>);
-    fn swizzled(&self, order: &[&str]) -> Result<Self, SimError>;
-}
-
-impl OutputSink for Tensor {
-    fn build(
-        name: &str,
-        rank_ids: Vec<String>,
-        rank_shapes: Vec<Shape>,
-        entries: Vec<(Vec<u64>, f64)>,
-    ) -> Result<Self, SimError> {
-        let coords: Vec<(Vec<Coord>, f64)> = entries
-            .into_iter()
-            .map(|(k, v)| (k.into_iter().map(Coord::Point).collect(), v))
+        // Build in production order first so the merge fan-in reflects how
+        // the hardware sees the data, then swizzle.
+        let produced = &out_plan.produced_order;
+        let perm: Vec<usize> = produced
+            .iter()
+            .map(|r| {
+                target
+                    .iter()
+                    .position(|t| t == r)
+                    .expect("produced ⊆ target")
+            })
             .collect();
-        Ok(from_coord_entries(name, rank_ids, rank_shapes, coords))
-    }
-
-    fn record_merges(&self, new_order: &[String], merges: &mut Vec<MergeGroup>) {
-        record_merge_groups(self, new_order, merges);
-    }
-
-    fn swizzled(&self, order: &[&str]) -> Result<Self, SimError> {
-        Ok(self.swizzle(order)?)
-    }
-}
-
-impl OutputSink for CompressedTensor {
-    fn build(
-        name: &str,
-        rank_ids: Vec<String>,
-        rank_shapes: Vec<Shape>,
-        entries: Vec<(Vec<u64>, f64)>,
-    ) -> Result<Self, SimError> {
-        let mut b = CompressedBuilder::new(name, rank_ids, rank_shapes)?;
-        for (k, v) in entries {
-            b.push_point(&k, v)?;
-        }
-        Ok(b.finish())
-    }
-
-    fn record_merges(&self, new_order: &[String], merges: &mut Vec<MergeGroup>) {
-        record_merge_groups_view(
-            self.name(),
-            self.rank_ids(),
-            FiberView::of_compressed(self),
-            new_order,
-            merges,
-        );
-    }
-
-    fn swizzled(&self, order: &[&str]) -> Result<Self, SimError> {
-        Ok(self.swizzle(order)?)
+        let mut prod_entries: Vec<(Vec<u64>, f64)> = filtered
+            .map(|(k, v)| (perm.iter().map(|&i| k[i]).collect(), v))
+            .collect();
+        prod_entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let prod = drain(self.output_builder(produced)?, prod_entries)?;
+        record_merge_groups(&prod, target, &mut instruments.merges);
+        let o: Vec<&str> = target.iter().map(String::as_str).collect();
+        Ok(prod.swizzle(&o)?)
     }
 }
 
-/// Whether a compressed input's whole transform pipeline is representable
-/// in CSF storage, decided before any step runs. The only structural
-/// limit is coordinate depth: a flatten whose operands would fuse into
-/// more than a pair needs the owned path. Steps that would *error* the
-/// same way on both paths (unknown ranks, shape-splitting a pair rank)
-/// count as supported — the compressed path reports the identical
-/// failure instead of quietly decompressing.
-fn compressed_pipeline_supported(c: &CompressedTensor, tp: &TensorPlan) -> bool {
-    // Track (rank, coordinate arity) through the pipeline. Steps run
-    // *after* the offline swizzle to the plan's initial order, and
-    // flatten pairs adjacent ranks, so the simulation must lay ranks out
-    // in `tp.initial_order` — not storage order. A bad initial order
-    // errors identically on both paths, so it counts as supported.
-    if tp.initial_order.len() != c.rank_ids().len() {
-        return true;
+/// Pushes sorted point entries into `b` and closes it.
+fn drain(
+    mut b: CompressedBuilder,
+    entries: impl IntoIterator<Item = (Vec<u64>, f64)>,
+) -> Result<CompressedTensor, SimError> {
+    for (k, v) in entries {
+        b.push_point(&k, v)?;
     }
-    let mut ranks: Vec<(String, usize)> = Vec::with_capacity(tp.initial_order.len());
-    for r in &tp.initial_order {
-        let Some(i) = c.rank_ids().iter().position(|n| n == r) else {
-            return true; // both paths reject the permutation
-        };
-        let arity = match &c.rank_shapes()[i] {
-            teaal_fibertree::Shape::Interval(_) => 1,
-            teaal_fibertree::Shape::Tuple(cs) => cs.len(),
-        };
-        ranks.push((r.clone(), arity));
-    }
-    if ranks.iter().any(|(_, a)| *a > 2) {
-        return false;
-    }
-    for step in &tp.steps {
-        match step {
-            PlanStep::Swizzle(order) => {
-                let mut next = Vec::with_capacity(ranks.len());
-                for r in order {
-                    match ranks.iter().find(|(n, _)| n == r) {
-                        Some(pair) => next.push(pair.clone()),
-                        None => return true, // both paths reject the permutation
-                    }
-                }
-                ranks = next;
-            }
-            PlanStep::Flatten { upper, new_name } => {
-                let Some(i) = ranks.iter().position(|(n, _)| n == upper) else {
-                    return true; // both paths report the unknown rank
-                };
-                if i + 1 >= ranks.len() {
-                    return true; // both paths reject flattening the bottom rank
-                }
-                let fused = ranks[i].1 + ranks[i + 1].1;
-                if fused > 2 {
-                    return false; // owned path required: deeper than pairs
-                }
-                ranks.splice(i..=i + 1, [(new_name.clone(), fused)]);
-            }
-            PlanStep::SplitShape {
-                rank, upper, lower, ..
-            }
-            | PlanStep::SplitOccLeader {
-                rank, upper, lower, ..
-            }
-            | PlanStep::SplitOccFollower {
-                rank, upper, lower, ..
-            } => {
-                let Some(i) = ranks.iter().position(|(n, _)| n == rank) else {
-                    return true; // both paths report the unknown rank
-                };
-                let arity = ranks[i].1;
-                ranks.splice(i..=i, [(upper.clone(), arity), (lower.clone(), arity)]);
-            }
-        }
-    }
-    true
+    Ok(b.finish())
 }
 
 /// FNV-1a over the output point's coordinate words.
@@ -1298,37 +1015,23 @@ fn apply_view_effects(
     }
 }
 
-/// Records the merge work of reordering an owned tensor into `new_order`.
-fn record_merge_groups(t: &Tensor, new_order: &[String], merges: &mut Vec<MergeGroup>) {
-    record_merge_groups_view(
-        t.name(),
-        t.rank_ids(),
-        t.root_fiber().map(FiberView::Owned),
-        new_order,
-        merges,
-    );
-}
-
-/// Records the merge work of reordering a tensor (in either
-/// representation, via its root cursor) into `new_order`: one group per
-/// fiber at the common-prefix depth, with fan-in equal to that fiber's
-/// occupancy (the number of sorted runs the merger combines).
-fn record_merge_groups_view(
-    name: &str,
-    rank_ids: &[String],
-    root: Option<FiberView<'_>>,
-    new_order: &[String],
-    merges: &mut Vec<MergeGroup>,
-) {
-    let prefix = rank_ids
+/// Records the merge work of reordering a tensor into `new_order`: one
+/// group per fiber at the common-prefix depth, with fan-in equal to that
+/// fiber's occupancy (the number of sorted runs the merger combines).
+fn record_merge_groups(t: &CompressedTensor, new_order: &[String], merges: &mut Vec<MergeGroup>) {
+    let prefix = t
+        .rank_ids()
         .iter()
         .zip(new_order)
         .take_while(|(a, b)| a == b)
         .count();
-    if prefix >= rank_ids.len() {
+    if prefix >= t.order() {
         return;
     }
-    let Some(root) = root else { return };
+    let Some(root) = FiberView::of_compressed(t) else {
+        return;
+    };
+    let name = t.name();
     fn walk(
         f: FiberView<'_>,
         depth: usize,
@@ -1787,72 +1490,5 @@ mod tests {
     fn fnv1a_hash_distinguishes_order_and_length() {
         assert_ne!(fnv1a_hash(&[1, 2]), fnv1a_hash(&[2, 1]));
         assert_ne!(fnv1a_hash(&[1]), fnv1a_hash(&[1, 0]));
-    }
-
-    fn plan_for(initial_order: &[&str], steps: Vec<PlanStep>) -> TensorPlan {
-        TensorPlan {
-            tensor: "T".into(),
-            initial_order: initial_order.iter().map(|s| s.to_string()).collect(),
-            steps,
-            working_order: Vec::new(),
-            online_swizzle: false,
-        }
-    }
-
-    /// Regression: the support check must simulate the pipeline in the
-    /// plan's *initial* order (the offline swizzle runs before the
-    /// steps), not the input's storage order — flatten adjacency depends
-    /// on it.
-    #[test]
-    fn pipeline_support_simulates_in_initial_order() {
-        // T arrives as [A, CB] where CB is a pair rank.
-        let owned = teaal_fibertree::TensorBuilder::new("T", &["A", "C", "B"], &[4, 4, 4])
-            .entry(&[0, 1, 2], 1.0)
-            .entry(&[3, 0, 1], 2.0)
-            .build()
-            .unwrap()
-            .flatten_rank("C", "CB")
-            .unwrap();
-        let c = CompressedTensor::from_tensor(&owned).unwrap();
-
-        // Plan swizzles to [CB, A] and then flattens CB with A — arity 3,
-        // owned path required. In storage order [A, CB] the flatten
-        // target looks like the bottom rank, which used to fool the check
-        // into approving a pipeline the compressed path must reject.
-        let flatten = PlanStep::Flatten {
-            upper: "CB".into(),
-            new_name: "CBA".into(),
-        };
-        assert!(!compressed_pipeline_supported(
-            &c,
-            &plan_for(&["CB", "A"], vec![flatten.clone()])
-        ));
-        // Same flatten without a swizzle: fusing A with CB is equally
-        // unsupported.
-        let flatten_a = PlanStep::Flatten {
-            upper: "A".into(),
-            new_name: "ACB".into(),
-        };
-        assert!(!compressed_pipeline_supported(
-            &c,
-            &plan_for(&["A", "CB"], vec![flatten_a])
-        ));
-        // Point-only pipelines behind a swizzle stay supported, and a
-        // flatten of the true bottom rank is "supported" because both
-        // paths report the same error.
-        let split = PlanStep::SplitShape {
-            rank: "A".into(),
-            size: 2,
-            upper: "A1".into(),
-            lower: "A0".into(),
-        };
-        assert!(compressed_pipeline_supported(
-            &c,
-            &plan_for(&["CB", "A"], vec![split])
-        ));
-        assert!(compressed_pipeline_supported(
-            &c,
-            &plan_for(&["A", "CB"], vec![flatten])
-        ));
     }
 }

@@ -48,7 +48,8 @@ use crate::error::SimError;
 use crate::model::Simulator;
 use crate::report::SimReport;
 
-/// Estimates a full cascade report for owned input tensors.
+/// Estimates a full cascade report for owned input tensors, compressed
+/// once on entry.
 ///
 /// Convenience wrapper over [`estimate_data`]; statistics are computed
 /// fresh (use [`estimate_data`] with a shared [`StatsCache`] when
@@ -59,10 +60,7 @@ use crate::report::SimReport;
 /// Returns [`SimError::MissingTensor`] / [`SimError::MissingExtent`] under
 /// the same conditions as an engine run.
 pub fn estimate(sim: &Simulator, inputs: &[Tensor]) -> Result<SimReport, SimError> {
-    let datas: Vec<TensorData> = inputs
-        .iter()
-        .map(|t| TensorData::Owned(t.clone()))
-        .collect();
+    let datas = crate::explore::compressed_inputs(inputs)?;
     let refs: Vec<&TensorData> = datas.iter().collect();
     estimate_data(sim, &refs, &StatsCache::new())
 }
@@ -1202,7 +1200,8 @@ mod tests {
                 .loop_order
                 .insert("Z".into(), order.iter().map(|r| r.to_string()).collect());
             let sim = Simulator::new(s).unwrap();
-            let measured = sim.run(&ins).unwrap();
+            let data = crate::explore::compressed_inputs(&ins).unwrap();
+            let measured = sim.run_data(&data.iter().collect::<Vec<_>>()).unwrap();
             let estimated = estimate(&sim, &ins).unwrap();
             rows.push((order, measured, estimated));
         }

@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use teaal_core::TeaalSpec;
 use teaal_fibertree::stats::StatsCache;
-use teaal_fibertree::{Tensor, TensorData};
+use teaal_fibertree::{CompressedTensor, TensorData};
 
 use crate::error::SimError;
 use crate::estimate::estimate_data;
@@ -171,7 +171,7 @@ pub struct ExploreOutcome {
 pub fn explore_loop_orders(
     spec: &TeaalSpec,
     einsum: &str,
-    inputs: &[Tensor],
+    inputs: &[impl Clone + Into<TensorData>],
     ops: OpTable,
     objective: Objective,
     max_candidates: usize,
@@ -196,7 +196,7 @@ pub fn explore_loop_orders(
 pub fn explore_loop_orders_with_threads(
     spec: &TeaalSpec,
     einsum: &str,
-    inputs: &[Tensor],
+    inputs: &[impl Clone + Into<TensorData>],
     ops: OpTable,
     objective: Objective,
     max_candidates: usize,
@@ -227,7 +227,7 @@ pub fn explore_loop_orders_with_threads(
 pub fn explore_loop_orders_with_context(
     spec: &TeaalSpec,
     einsum: &str,
-    inputs: &[Tensor],
+    inputs: &[impl Clone + Into<TensorData>],
     ops: OpTable,
     objective: Objective,
     max_candidates: usize,
@@ -235,6 +235,8 @@ pub fn explore_loop_orders_with_context(
     context: Option<&Arc<EvalContext>>,
 ) -> Result<Vec<Candidate>, SimError> {
     let orders = candidate_orders(spec, einsum)?;
+    let datas = compressed_inputs(inputs)?;
+    let refs: Vec<&TensorData> = datas.iter().collect();
 
     // A candidate that fails to lower is skipped, not charged against the
     // budget (counting failures used to starve the budget and return
@@ -249,7 +251,7 @@ pub fn explore_loop_orders_with_context(
             Some(ctx) => ctx.simulator(&s).ok()?,
             None => Simulator::new(s).ok()?,
         };
-        let report = sim.with_ops(ops).with_threads(1).run(inputs).ok()?;
+        let report = sim.with_ops(ops).with_threads(1).run_data(&refs).ok()?;
         Some(candidate_from(candidate.to_vec(), &report))
     };
 
@@ -286,7 +288,7 @@ pub fn explore_loop_orders_with_context(
 pub fn explore_fast(
     spec: &TeaalSpec,
     einsum: &str,
-    inputs: &[Tensor],
+    inputs: &[impl Clone + Into<TensorData>],
     ops: OpTable,
     config: &ExploreConfig,
 ) -> Result<ExploreOutcome, SimError> {
@@ -307,7 +309,7 @@ pub fn explore_fast(
 pub fn explore_fast_with_context(
     spec: &TeaalSpec,
     einsum: &str,
-    inputs: &[Tensor],
+    inputs: &[impl Clone + Into<TensorData>],
     ops: OpTable,
     config: &ExploreConfig,
     context: Option<&Arc<EvalContext>>,
@@ -321,10 +323,7 @@ pub fn explore_fast_with_context(
         .then(|| CancelToken::new(&config.limits));
 
     // Phase 1: estimate every lowerable candidate from cached statistics.
-    let datas: Vec<TensorData> = inputs
-        .iter()
-        .map(|t| TensorData::Owned(t.clone()))
-        .collect();
+    let datas = compressed_inputs(inputs)?;
     let refs: Vec<&TensorData> = datas.iter().collect();
     let local_stats;
     let cache: &StatsCache = match context {
@@ -416,7 +415,7 @@ pub fn explore_fast_with_context(
         if let Some(t) = &token {
             sim = sim.with_cancel(t.clone());
         }
-        match sim.run(inputs) {
+        match sim.run_data(&refs) {
             Ok(report) => Some(candidate_from(candidate.to_vec(), &report)),
             Err(
                 e @ (SimError::DeadlineExceeded { .. }
@@ -451,6 +450,20 @@ pub fn explore_fast_with_context(
         engine_evals,
         estimator_evals,
     })
+}
+
+/// The mapper's inputs, compressed once on entry: every candidate then
+/// estimates and executes on the same CSF storage.
+pub(crate) fn compressed_inputs(
+    inputs: &[impl Clone + Into<TensorData>],
+) -> Result<Vec<TensorData>, SimError> {
+    inputs
+        .iter()
+        .map(|t| match t.clone().into() {
+            TensorData::Owned(t) => Ok(CompressedTensor::from_tensor(&t)?.into()),
+            compressed => Ok(compressed),
+        })
+        .collect()
 }
 
 /// All loop-order permutations for `einsum` in Heap order — the shared
@@ -605,7 +618,7 @@ fn permute(items: &mut [String], k: usize, visit: &mut impl FnMut(&[String])) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teaal_fibertree::TensorBuilder;
+    use teaal_fibertree::{Tensor, TensorBuilder};
 
     fn base_spec() -> TeaalSpec {
         TeaalSpec::parse(concat!(
@@ -826,7 +839,11 @@ mod tests {
             s.mapping
                 .loop_order
                 .insert("Z".into(), c.loop_order.clone());
-            let report = Simulator::new(s).unwrap().run(&ins).unwrap();
+            let data = compressed_inputs(&ins).unwrap();
+            let report = Simulator::new(s)
+                .unwrap()
+                .run_data(&data.iter().collect::<Vec<_>>())
+                .unwrap();
             let z = report.final_output().unwrap().clone();
             if let Some(r) = &reference {
                 assert_eq!(r.max_abs_diff(&z), 0.0);
@@ -839,7 +856,7 @@ mod tests {
 #[cfg(test)]
 mod fast_tests {
     use super::*;
-    use teaal_fibertree::TensorBuilder;
+    use teaal_fibertree::{Tensor, TensorBuilder};
 
     fn base_spec() -> TeaalSpec {
         TeaalSpec::parse(concat!(

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use teaal_core::ir::{EinsumBlock, EinsumPlan};
 use teaal_core::spec::{ComponentClass, ComputeOp, TeaalSpec};
 use teaal_core::TeaalSpec as Spec;
-use teaal_fibertree::{IntersectPolicy, Tensor, TensorData};
+use teaal_fibertree::{IntersectPolicy, TensorData};
 
 use crate::compile::CompiledPlan;
 use crate::counters::Instruments;
@@ -42,7 +42,7 @@ use crate::report::{passes_for, BlockStats, EinsumStats, SimReport, TensorTraffi
 /// ```
 /// use teaal_sim::Simulator;
 /// use teaal_core::TeaalSpec;
-/// use teaal_fibertree::Tensor;
+/// use teaal_fibertree::{CompressedTensor, TensorData};
 ///
 /// let spec = TeaalSpec::parse(concat!(
 ///     "einsum:\n",
@@ -54,11 +54,11 @@ use crate::report::{passes_for, BlockStats, EinsumStats, SimReport, TensorTraffi
 ///     "    - Z[m, n] = A[k, m] * B[k, n]\n",
 /// ))?;
 /// let sim = Simulator::new(spec)?;
-/// let a = Tensor::from_entries("A", &["K", "M"], &[2, 2],
-///     vec![(vec![0, 0], 1.0), (vec![1, 1], 2.0)]).unwrap();
-/// let b = Tensor::from_entries("B", &["K", "N"], &[2, 2],
-///     vec![(vec![0, 1], 3.0), (vec![1, 0], 4.0)]).unwrap();
-/// let report = sim.run(&[a, b])?;
+/// let a = TensorData::from(CompressedTensor::from_entries("A", &["K", "M"], &[2, 2],
+///     vec![(vec![0, 0], 1.0), (vec![1, 1], 2.0)])?);
+/// let b = TensorData::from(CompressedTensor::from_entries("B", &["K", "N"], &[2, 2],
+///     vec![(vec![0, 1], 3.0), (vec![1, 0], 4.0)])?);
+/// let report = sim.run_data(&[&a, &b])?;
 /// let z = report.final_output().unwrap();
 /// assert_eq!(z.get(&[0, 1]), Some(3.0)); // A[0,0] * B[0,1]
 /// assert_eq!(z.get(&[1, 0]), Some(8.0)); // A[1,1] * B[1,0]
@@ -243,41 +243,6 @@ impl Simulator {
         self.compiled.instruments_for(plan)
     }
 
-    /// Runs the cascade on the given input tensors (matched by name).
-    ///
-    /// Convenience wrapper over [`Simulator::run_data`] for owned
-    /// tensors; each input is cloned into the execution environment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when inputs are missing or execution fails.
-    pub fn run(&self, inputs: &[Tensor]) -> Result<SimReport, SimError> {
-        let data: Vec<TensorData> = inputs
-            .iter()
-            .map(|t| TensorData::Owned(t.clone()))
-            .collect();
-        let refs: Vec<&TensorData> = data.iter().collect();
-        self.run_data(&refs)
-    }
-
-    /// Runs the cascade on borrowed inputs in either representation,
-    /// assembling owned output tensors.
-    ///
-    /// Inputs are *borrowed*, not cloned: a large compressed tensor (a
-    /// graph adjacency, a SuiteSparse-scale matrix) can be reused across
-    /// many runs — the graph driver re-executes its cascade every
-    /// superstep against the same [`TensorData`]. Results are
-    /// representation-independent: the same content yields bit-identical
-    /// instrument counters and outputs whether inputs arrive owned or
-    /// compressed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when inputs are missing or execution fails.
-    pub fn run_data(&self, inputs: &[&TensorData]) -> Result<SimReport, SimError> {
-        self.run_impl(inputs, false)
-    }
-
     /// [`Simulator::run_data`] behind the report cache: with a context
     /// attached, a repeated evaluation of the same `(plan, operator
     /// table, extents, energy, inputs)` returns the shared report
@@ -303,27 +268,6 @@ impl Simulator {
         }
         let report = self.run_data(inputs)?;
         Ok(ctx.store_report(key, Arc::new(report)))
-    }
-
-    /// Runs the cascade end-to-end in compressed storage: outputs (and
-    /// therefore intermediates) are assembled through a streaming
-    /// [`CompressedBuilder`](teaal_fibertree::CompressedBuilder) instead
-    /// of owned trees, and compressed inputs run their transform
-    /// pipelines compressed-natively. The hot loop allocates
-    /// `O(output nnz)` flat arrays per Einsum — no intermediate trees —
-    /// which is what lets the graph driver re-run a cascade every
-    /// superstep without rebuilding owned storage.
-    ///
-    /// Reports are bit-identical to [`Simulator::run_data`] on the same
-    /// content: every instrument counter, traffic figure, and output
-    /// entry agrees; only the representation inside
-    /// [`SimReport::outputs`] differs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when inputs are missing or execution fails.
-    pub fn run_data_compressed(&self, inputs: &[&TensorData]) -> Result<SimReport, SimError> {
-        self.run_impl(inputs, true)
     }
 
     /// The content key [`Simulator::run_data_cached`] stores reports
@@ -367,7 +311,25 @@ impl Simulator {
         h.finish()
     }
 
-    fn run_impl(&self, inputs: &[&TensorData], compressed: bool) -> Result<SimReport, SimError> {
+    /// Runs the cascade on borrowed inputs (matched by name) in either
+    /// representation.
+    ///
+    /// Inputs are *borrowed*, not cloned: a large compressed tensor (a
+    /// graph adjacency, a SuiteSparse-scale matrix) can be reused across
+    /// many runs — the graph driver re-executes its cascade every
+    /// superstep against the same [`TensorData`]. Transforms, outputs
+    /// and intermediates are compressed (CSF) storage, assembled through
+    /// a streaming [`CompressedBuilder`](teaal_fibertree::CompressedBuilder):
+    /// an owned input is compressed once if its mapping transforms it,
+    /// and streamed through cursors as-is otherwise. Results are
+    /// representation-independent: the same content yields bit-identical
+    /// instrument counters and outputs whether inputs arrive owned or
+    /// compressed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] when inputs are missing or execution fails.
+    pub fn run_data(&self, inputs: &[&TensorData]) -> Result<SimReport, SimError> {
         if let (Some(bytes), Some(ctx)) = (self.limits.max_resident_cache_bytes, &self.context) {
             ctx.set_max_cache_bytes(bytes);
         }
@@ -438,8 +400,7 @@ impl Simulator {
                     .chain(outputs[..i].iter().flatten())
                     .map(|t| (t.name().to_string(), t))
                     .collect();
-                let out =
-                    engine.execute_data(&env, &mut instruments, &mut boundaries, compressed)?;
+                let out = engine.execute_data(&env, &mut instruments, &mut boundaries)?;
                 Ok((instruments, out))
             };
 
@@ -563,7 +524,7 @@ impl Simulator {
         let output_write_bytes = if self.on_chip_set().contains(&name) || output_pinned {
             0
         } else {
-            out_fmt.footprint_bytes_data(output)
+            out_fmt.footprint_bytes(output)
         };
 
         let mut traffic = Vec::new();

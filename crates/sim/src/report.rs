@@ -121,10 +121,8 @@ pub struct SimReport {
     pub energy_joules: f64,
     /// Aggregated action counts.
     pub actions: ActionCounts,
-    /// Output tensors by name (every Einsum's output): owned trees from
-    /// [`Simulator::run`](crate::Simulator::run) /
-    /// [`run_data`](crate::Simulator::run_data), compressed (CSF) storage
-    /// from [`run_data_compressed`](crate::Simulator::run_data_compressed).
+    /// Output tensors by name (every Einsum's output), always compressed
+    /// (CSF) storage.
     pub outputs: BTreeMap<String, TensorData>,
 }
 

@@ -1,12 +1,12 @@
-//! The compressed fast path stays compressed end-to-end.
+//! The compressed path stays compressed end-to-end.
 //!
-//! `Simulator::run_data_compressed` with compressed inputs must (a) never
-//! decompress on the hot path — every catalog SpMSpM spec's transform
-//! pipeline (swizzles, shape/occupancy partitions, flattens) and output
-//! assembly runs on CSF arrays, pinned by the process-wide
+//! `Simulator::run_data` with compressed inputs must (a) never decompress
+//! on the hot path — every catalog SpMSpM spec's transform pipeline
+//! (swizzles, shape/occupancy partitions, flattens) and output assembly
+//! runs on CSF arrays, pinned by the process-wide
 //! [`teaal_fibertree::telemetry::decompress_count`] — and (b) produce
-//! reports bit-identical to the owned oracle: instrument counters, time,
-//! energy, and output content all agree.
+//! reports bit-identical to the owned-input oracle: instrument counters,
+//! time, energy, and output content all agree.
 //!
 //! This file holds a single test so nothing else in the process touches
 //! the decompression counter between the snapshots.
@@ -25,23 +25,25 @@ fn catalog_specs_run_compressed_native_with_zero_decompressions() {
     let ca = TensorData::Compressed(CompressedTensor::from_tensor(&a).unwrap());
     let cb = TensorData::Compressed(CompressedTensor::from_tensor(&b).unwrap());
 
-    // Owned oracle runs first (it never touches compressed storage).
+    // The owned-input oracle runs first: untransformed inputs stream
+    // through owned-tree cursors, transformed ones are compressed once.
+    let (oa, ob) = (TensorData::Owned(a), TensorData::Owned(b));
     let mut oracles = Vec::new();
     for (label, yaml) in teaal_fixtures::spmspm_specs() {
         let sim = Simulator::new(TeaalSpec::parse(yaml).unwrap()).unwrap();
-        oracles.push((label, sim.run(&[a.clone(), b.clone()]).unwrap()));
+        oracles.push((label, sim.run_data(&[&oa, &ob]).unwrap()));
     }
 
     let before = telemetry::decompress_count();
     let mut compressed_reports = Vec::new();
     for (_, yaml) in teaal_fixtures::spmspm_specs() {
         let sim = Simulator::new(TeaalSpec::parse(yaml).unwrap()).unwrap();
-        compressed_reports.push(sim.run_data_compressed(&[&ca, &cb]).unwrap());
+        compressed_reports.push(sim.run_data(&[&ca, &cb]).unwrap());
     }
     assert_eq!(
         telemetry::decompress_count(),
         before,
-        "the compressed-native path must never call to_tensor()"
+        "the compressed path must never call to_tensor()"
     );
 
     for ((label, owned), compressed) in oracles.iter().zip(&compressed_reports) {
@@ -55,8 +57,7 @@ fn catalog_specs_run_compressed_native_with_zero_decompressions() {
             owned.energy_joules, compressed.energy_joules,
             "{label}: energy diverges"
         );
-        // Outputs: same names, same content (representations differ by
-        // construction — owned trees vs CSF).
+        // Outputs: same names, same CSF storage, same content.
         assert_eq!(
             owned.outputs.keys().collect::<Vec<_>>(),
             compressed.outputs.keys().collect::<Vec<_>>(),
@@ -64,8 +65,8 @@ fn catalog_specs_run_compressed_native_with_zero_decompressions() {
         );
         for (name, o) in &owned.outputs {
             let c = &compressed.outputs[name];
-            assert!(o.as_owned().is_some(), "{label}/{name}: oracle is owned");
             assert!(c.is_compressed(), "{label}/{name}: fast path is compressed");
+            assert_eq!(o, c, "{label}/{name}: output storage diverges");
             assert_eq!(
                 o.leaves(),
                 c.leaves(),

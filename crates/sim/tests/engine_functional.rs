@@ -95,7 +95,9 @@ fn plain_matmul_matches_reference() {
     ))
     .unwrap();
     let sim = Simulator::new(spec).unwrap();
-    let report = sim.run(&[matrix_a(), matrix_b()]).unwrap();
+    let report = sim
+        .run_data(&[&matrix_a().into(), &matrix_b().into()])
+        .unwrap();
     check_matches_reference(
         report.final_output().unwrap(),
         &dense_spmspm(&matrix_a(), &matrix_b()),
@@ -106,7 +108,9 @@ fn plain_matmul_matches_reference() {
 fn outerspace_mapping_matches_reference() {
     let spec = TeaalSpec::parse(OUTERSPACE).unwrap();
     let sim = Simulator::new(spec).unwrap();
-    let report = sim.run(&[matrix_a(), matrix_b()]).unwrap();
+    let report = sim
+        .run_data(&[&matrix_a().into(), &matrix_b().into()])
+        .unwrap();
     check_matches_reference(
         report.final_output().unwrap(),
         &dense_spmspm(&matrix_a(), &matrix_b()),
@@ -126,7 +130,9 @@ fn outerspace_mapping_matches_reference() {
 fn gamma_mapping_matches_reference() {
     let spec = TeaalSpec::parse(GAMMA).unwrap();
     let sim = Simulator::new(spec).unwrap();
-    let report = sim.run(&[matrix_a(), matrix_b()]).unwrap();
+    let report = sim
+        .run_data(&[&matrix_a().into(), &matrix_b().into()])
+        .unwrap();
     check_matches_reference(
         report.final_output().unwrap(),
         &dense_spmspm(&matrix_a(), &matrix_b()),
@@ -139,7 +145,9 @@ fn gamma_mapping_matches_reference() {
 fn extensor_mapping_matches_reference() {
     let spec = TeaalSpec::parse(EXTENSOR).unwrap();
     let sim = Simulator::new(spec).unwrap();
-    let report = sim.run(&[matrix_a(), matrix_b()]).unwrap();
+    let report = sim
+        .run_data(&[&matrix_a().into(), &matrix_b().into()])
+        .unwrap();
     check_matches_reference(
         report.final_output().unwrap(),
         &dense_spmspm(&matrix_a(), &matrix_b()),
@@ -152,7 +160,9 @@ fn extensor_mapping_matches_reference() {
 fn sigma_mapping_matches_reference() {
     let spec = TeaalSpec::parse(SIGMA).unwrap();
     let sim = Simulator::new(spec).unwrap();
-    let report = sim.run(&[matrix_a(), matrix_b()]).unwrap();
+    let report = sim
+        .run_data(&[&matrix_a().into(), &matrix_b().into()])
+        .unwrap();
     check_matches_reference(
         report.final_output().unwrap(),
         &dense_spmspm(&matrix_a(), &matrix_b()),
@@ -166,7 +176,9 @@ fn all_four_accelerators_agree() {
     for src in [OUTERSPACE, GAMMA, EXTENSOR, SIGMA] {
         let spec = TeaalSpec::parse(src).unwrap();
         let sim = Simulator::new(spec).unwrap();
-        let report = sim.run(&[matrix_a(), matrix_b()]).unwrap();
+        let report = sim
+            .run_data(&[&matrix_a().into(), &matrix_b().into()])
+            .unwrap();
         let z = report.final_output().unwrap().clone();
         answers.push(z);
     }
@@ -203,7 +215,7 @@ fn direct_convolution_matches_reference() {
     .unwrap();
     let f = Tensor::from_entries("F", &["S"], &[2], vec![(vec![0], 1.0), (vec![1], 10.0)]).unwrap();
     let sim = Simulator::new(spec).unwrap().with_rank_extent("Q", 5);
-    let report = sim.run(&[i, f]).unwrap();
+    let report = sim.run_data(&[&i.into(), &f.into()]).unwrap();
     let o = report.final_output().unwrap();
     // O[q] = I[q]·1 + I[q+1]·10.
     assert_eq!(o.get(&[0]), Some(21.0));
@@ -244,7 +256,7 @@ fn toeplitz_cascade_matches_direct_convolution() {
         .unwrap()
         .with_rank_extent("Q", 5)
         .with_rank_extent("S", 2);
-    let report = sim.run(&[i, f]).unwrap();
+    let report = sim.run_data(&[&i.into(), &f.into()]).unwrap();
     let o = report.final_output().unwrap();
     assert_eq!(o.get(&[0]), Some(21.0));
     assert_eq!(o.get(&[4]), Some(65.0));
@@ -268,7 +280,7 @@ fn union_and_subtraction_semantics() {
     let e = Tensor::from_entries("E", &["K"], &[6], vec![(vec![0], 1.0), (vec![2], 2.0)]).unwrap();
     let t = Tensor::from_entries("T", &["K"], &[6], vec![(vec![2], 5.0), (vec![4], 7.0)]).unwrap();
     let sim = Simulator::new(spec).unwrap();
-    let report = sim.run(&[e, t]).unwrap();
+    let report = sim.run_data(&[&e.into(), &t.into()]).unwrap();
     let y = report.outputs.get("Y").unwrap();
     assert_eq!(y.get(&[0]), Some(1.0));
     assert_eq!(y.get(&[2]), Some(7.0));
@@ -293,7 +305,9 @@ fn take_operator_filters_like_gamma() {
     ))
     .unwrap();
     let sim = Simulator::new(spec).unwrap();
-    let report = sim.run(&[matrix_a(), matrix_b()]).unwrap();
+    let report = sim
+        .run_data(&[&matrix_a().into(), &matrix_b().into()])
+        .unwrap();
     let t = report.final_output().unwrap();
     // A[0, 0] and B[0, 1] both exist → T[0, 0, 1] = B[0, 1] = 1.5.
     assert_eq!(t.get(&[0, 0, 1]), Some(1.5));
@@ -323,7 +337,7 @@ fn min_plus_semiring_relaxation() {
     .unwrap();
     let p = Tensor::from_entries("P", &["S"], &[3], vec![(vec![0], 0.5), (vec![1], 2.0)]).unwrap();
     let sim = Simulator::new(spec).unwrap().with_ops(OpTable::sssp());
-    let report = sim.run(&[g, p]).unwrap();
+    let report = sim.run_data(&[&g.into(), &p.into()]).unwrap();
     let r = report.final_output().unwrap();
     assert_eq!(r.get(&[1]), Some(4.5)); // 4 + 0.5
     assert_eq!(r.get(&[2]), Some(3.0)); // min(9 + 0.5, 1 + 2)
@@ -334,7 +348,7 @@ fn empty_inputs_produce_empty_outputs() {
     let spec = TeaalSpec::parse(OUTERSPACE).unwrap();
     let sim = Simulator::new(spec).unwrap();
     let a = Tensor::empty("A", &["K", "M"], &[6, 5]);
-    let report = sim.run(&[a, matrix_b()]).unwrap();
+    let report = sim.run_data(&[&a.into(), &matrix_b().into()]).unwrap();
     assert_eq!(report.final_output().unwrap().nnz(), 0);
     assert_eq!(report.einsums[1].muls, 0);
 }
@@ -343,7 +357,9 @@ fn empty_inputs_produce_empty_outputs() {
 fn traffic_is_nonzero_and_energy_positive() {
     let spec = TeaalSpec::parse(GAMMA).unwrap();
     let sim = Simulator::new(spec).unwrap();
-    let report = sim.run(&[matrix_a(), matrix_b()]).unwrap();
+    let report = sim
+        .run_data(&[&matrix_a().into(), &matrix_b().into()])
+        .unwrap();
     assert!(report.dram_bytes() > 0);
     assert!(report.energy_joules > 0.0);
     assert!(report.seconds > 0.0);

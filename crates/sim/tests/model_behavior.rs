@@ -42,7 +42,7 @@ fn full_traversal_traffic_matches_footprint() {
     .unwrap();
     let (a, _) = inputs(400);
     let sim = Simulator::new(spec).unwrap();
-    let report = sim.run(std::slice::from_ref(&a)).unwrap();
+    let report = sim.run_data(&[&a.clone().into()]).unwrap();
     let k_elems = a.rank_stats()[0].1 as u64;
     let expect = (a.nnz() as u64 * 96 + k_elems * 64) / 8;
     assert_eq!(report.dram_bytes_of("A"), expect);
@@ -55,7 +55,9 @@ fn intersection_skips_reduce_traffic_below_footprint() {
     // zero (the whole point of sparse acceleration).
     let (a, b) = inputs(400);
     let sim = Simulator::new(plain_spec()).unwrap();
-    let report = sim.run(&[a.clone(), b.clone()]).unwrap();
+    let report = sim
+        .run_data(&[&a.clone().into(), &b.clone().into()])
+        .unwrap();
     for (t, tensor) in [("A", &a), ("B", &b)] {
         let traffic = report.dram_bytes_of(t);
         let footprint_ish = (tensor.nnz() * (96 + 64)) as u64 / 8;
@@ -70,7 +72,7 @@ fn energy_table_override_scales_energy() {
     let spec = plain_spec();
     let base = Simulator::new(spec.clone())
         .unwrap()
-        .run(&[a.clone(), b.clone()])
+        .run_data(&[&a.clone().into(), &b.clone().into()])
         .unwrap();
     let expensive = Simulator::new(spec)
         .unwrap()
@@ -78,7 +80,7 @@ fn energy_table_override_scales_energy() {
             dram_pj_per_bit: 70.0, // 10x default
             ..EnergyTable::default()
         })
-        .run(&[a, b])
+        .run_data(&[&a.into(), &b.into()])
         .unwrap();
     assert!(expensive.energy_joules > base.energy_joules * 2.0);
 }
@@ -88,8 +90,8 @@ fn denser_inputs_cost_more_everything() {
     let sim = Simulator::new(plain_spec()).unwrap();
     let (a1, b1) = inputs(200);
     let (a2, b2) = inputs(1600);
-    let small = sim.run(&[a1, b1]).unwrap();
-    let large = sim.run(&[a2, b2]).unwrap();
+    let small = sim.run_data(&[&a1.into(), &b1.into()]).unwrap();
+    let large = sim.run_data(&[&a2.into(), &b2.into()]).unwrap();
     assert!(large.dram_bytes() > small.dram_bytes());
     assert!(large.total_ops() > small.total_ops());
     assert!(large.energy_joules > small.energy_joules);
@@ -135,9 +137,12 @@ fn spatial_mapping_reduces_modelled_time() {
     let (a, b) = inputs(800);
     let ts = Simulator::new(serial)
         .unwrap()
-        .run(&[a.clone(), b.clone()])
+        .run_data(&[&a.clone().into(), &b.clone().into()])
         .unwrap();
-    let tp = Simulator::new(parallel).unwrap().run(&[a, b]).unwrap();
+    let tp = Simulator::new(parallel)
+        .unwrap()
+        .run_data(&[&a.into(), &b.into()])
+        .unwrap();
     assert!(
         tp.seconds < ts.seconds,
         "parallel {} should beat serial {}",
@@ -225,11 +230,11 @@ fn buffet_evict_on_forces_refetch() {
     let (a, b) = inputs(500);
     let r_stream = Simulator::new(TeaalSpec::parse(&streaming).unwrap())
         .unwrap()
-        .run(&[a.clone(), b.clone()])
+        .run_data(&[&a.clone().into(), &b.clone().into()])
         .unwrap();
     let r_buffer = Simulator::new(TeaalSpec::parse(&buffered).unwrap())
         .unwrap()
-        .run(&[a, b])
+        .run_data(&[&a.into(), &b.into()])
         .unwrap();
     let stream_a = r_stream.dram_bytes_of("A");
     let buffer_a = r_buffer.dram_bytes_of("A");
@@ -276,7 +281,7 @@ fn cache_binding_filters_repeat_accesses() {
     let (a, b) = inputs(600);
     let report = Simulator::new(TeaalSpec::parse(cached).unwrap())
         .unwrap()
-        .run(&[a, b])
+        .run_data(&[&a.into(), &b.into()])
         .unwrap();
     let t = report.einsums[0]
         .traffic
@@ -296,7 +301,7 @@ fn cache_binding_filters_repeat_accesses() {
 fn report_display_is_complete() {
     let (a, b) = inputs(100);
     let sim = Simulator::new(plain_spec()).unwrap();
-    let report = sim.run(&[a, b]).unwrap();
+    let report = sim.run_data(&[&a.into(), &b.into()]).unwrap();
     let text = report.to_string();
     assert!(text.contains("einsum Z"));
     assert!(text.contains("DRAM"));
@@ -315,6 +320,6 @@ fn plans_and_blocks_are_inspectable() {
 fn missing_input_is_a_clean_error() {
     let sim = Simulator::new(plain_spec()).unwrap();
     let (a, _) = inputs(10);
-    let err = sim.run(&[a]).unwrap_err();
+    let err = sim.run_data(&[&a.into()]).unwrap_err();
     assert!(err.to_string().contains('B'));
 }

@@ -4,7 +4,8 @@
 //!
 //! This is the contract that lets callers pick a representation purely on
 //! performance grounds — the model's answers (traffic, compute, visits,
-//! intersections, outputs) never depend on the choice.
+//! intersections, outputs) never depend on the choice. Outputs are
+//! compressed (CSF) storage either way.
 
 use teaal_core::TeaalSpec;
 use teaal_fibertree::{CompressedTensor, Tensor, TensorData};
@@ -56,7 +57,7 @@ fn assert_representation_independent(label: &str, yaml: &str, a: &Tensor, b: &Te
     let sim = Simulator::new(spec).unwrap_or_else(|e| panic!("{label}: lowering failed: {e}"));
 
     let owned = sim
-        .run(&[a.clone(), b.clone()])
+        .run_data(&[&a.clone().into(), &b.clone().into()])
         .unwrap_or_else(|e| panic!("{label}: owned run failed: {e}"));
 
     let ca = TensorData::Compressed(CompressedTensor::from_tensor(a).unwrap());
@@ -87,32 +88,20 @@ fn assert_representation_independent(label: &str, yaml: &str, a: &Tensor, b: &Te
         "{label}: energy model diverges"
     );
 
-    // Third leg: the fully compressed-native path (compressed transforms
-    // and compressed outputs) must agree with both.
-    let native = sim
-        .run_data_compressed(&[&ca, &cb])
-        .unwrap_or_else(|e| panic!("{label}: compressed-native run failed: {e}"));
-    assert_eq!(
-        owned.einsums, native.einsums,
-        "{label}: instrument counters diverge on the compressed-native path"
-    );
-    assert_eq!(
-        owned.seconds, native.seconds,
-        "{label}: native time diverges"
-    );
+    // Both legs assemble every output (and intermediate) in CSF storage.
     for (name, o) in &owned.outputs {
-        let c = native
+        let c = compressed
             .outputs
             .get(name)
-            .unwrap_or_else(|| panic!("{label}: native run lost output {name}"));
+            .unwrap_or_else(|| panic!("{label}: compressed run lost output {name}"));
         assert!(
-            c.is_compressed(),
-            "{label}/{name}: native outputs must be compressed"
+            o.is_compressed() && c.is_compressed(),
+            "{label}/{name}: outputs must be compressed"
         );
         assert_eq!(
             o.leaves(),
             c.leaves(),
-            "{label}/{name}: native output content diverges"
+            "{label}/{name}: output content diverges"
         );
     }
 }
@@ -161,7 +150,9 @@ fn compressed_inputs_can_come_straight_from_coo() {
     for (label, yaml) in teaal_fixtures::spmspm_specs() {
         let spec = TeaalSpec::parse(yaml).unwrap();
         let sim = Simulator::new(spec).unwrap();
-        let owned = sim.run(&[a.clone(), b.clone()]).unwrap();
+        let owned = sim
+            .run_data(&[&a.clone().into(), &b.clone().into()])
+            .unwrap();
         let compressed = sim.run_data(&[&ca, &cb]).unwrap();
         assert_eq!(owned.einsums, compressed.einsums, "{label}");
         assert_eq!(owned.outputs, compressed.outputs, "{label}");

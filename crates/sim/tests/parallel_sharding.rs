@@ -67,7 +67,7 @@ fn inputs() -> (Tensor, Tensor) {
 }
 
 /// All four catalog accelerator specs: 1-thread vs 4-thread, owned and
-/// compressed pipelines.
+/// compressed inputs.
 #[test]
 fn catalog_specs_are_thread_count_invariant() {
     let (a, b) = inputs();
@@ -78,24 +78,24 @@ fn catalog_specs_are_thread_count_invariant() {
         let seq = Simulator::new(spec.clone())
             .unwrap()
             .with_threads(1)
-            .run(&[a.clone(), b.clone()])
+            .run_data(&[&a.clone().into(), &b.clone().into()])
             .unwrap();
         let par = Simulator::new(spec.clone())
             .unwrap()
             .with_threads(4)
-            .run(&[a.clone(), b.clone()])
+            .run_data(&[&a.clone().into(), &b.clone().into()])
             .unwrap();
         assert_reports_identical(label, &seq, &par);
 
         let cseq = Simulator::new(spec.clone())
             .unwrap()
             .with_threads(1)
-            .run_data_compressed(&[&ca, &cb])
+            .run_data(&[&ca, &cb])
             .unwrap();
         let cpar = Simulator::new(spec)
             .unwrap()
             .with_threads(4)
-            .run_data_compressed(&[&ca, &cb])
+            .run_data(&[&ca, &cb])
             .unwrap();
         assert_reports_identical(&format!("{label} (compressed)"), &cseq, &cpar);
     }
@@ -186,12 +186,15 @@ fn shard_count_never_changes_the_report() {
                     .unwrap()
                     .with_ops(*ops)
                     .with_threads(threads);
-                let owned = sim.run(ins).unwrap();
-                let data: Vec<TensorData> =
+                let owned: Vec<TensorData> =
                     ins.iter().map(|t| TensorData::Owned(t.clone())).collect();
-                let refs: Vec<&TensorData> = data.iter().collect();
-                let compressed = sim.run_data_compressed(&refs).unwrap();
-                (owned, compressed)
+                let compressed: Vec<TensorData> = ins
+                    .iter()
+                    .map(|t| CompressedTensor::from_tensor(t).unwrap().into())
+                    .collect();
+                let run =
+                    |data: &[TensorData]| sim.run_data(&data.iter().collect::<Vec<_>>()).unwrap();
+                (run(&owned), run(&compressed))
             };
             let (seq, cseq) = run_with(1);
             for threads in [2usize, 7, host] {
@@ -217,12 +220,12 @@ fn inexact_overlap_reductions_still_match_sequential() {
     let seq = Simulator::new(spec.clone())
         .unwrap()
         .with_threads(1)
-        .run(&[a.clone(), b.clone()])
+        .run_data(&[&a.clone().into(), &b.clone().into()])
         .unwrap();
     let par = Simulator::new(spec)
         .unwrap()
         .with_threads(8)
-        .run(&[a, b])
+        .run_data(&[&a.into(), &b.into()])
         .unwrap();
     assert_reports_identical("gustavson/overlap-arithmetic", &seq, &par);
 }

@@ -25,10 +25,14 @@ use teaal_workloads::genmat;
 
 /// Same input group as the mapper-search suite: sized so every catalog
 /// spec's partitioning lowers.
-fn inputs(seed: u64) -> Vec<Tensor> {
+fn inputs(seed: u64) -> Vec<TensorData> {
     let a = genmat::uniform("A", &["K", "M"], 48, 48, 320, seed);
     let b = genmat::uniform("B", &["K", "N"], 48, 40, 280, seed + 1);
-    vec![a, b]
+    vec![a.into(), b.into()]
+}
+
+fn refs(ins: &[TensorData]) -> Vec<&TensorData> {
+    ins.iter().collect()
 }
 
 /// A bit-exact fingerprint of everything a report carries: rendered
@@ -50,24 +54,25 @@ fn fingerprint(report: &SimReport) -> (String, u64, u64, BTreeMap<String, u64>) 
 
 #[test]
 fn warm_cache_is_bit_identical_to_cold_on_all_catalog_specs() {
-    let ins = inputs(11);
+    let data = inputs(11);
+    let ins = refs(&data);
     for (label, yaml) in teaal_fixtures::spmspm_specs() {
         for threads in [1usize, 4] {
             let spec = TeaalSpec::parse(yaml).unwrap();
             let baseline = Simulator::new(spec.clone())
                 .unwrap()
                 .with_threads(threads)
-                .run(&ins)
+                .run_data(&ins)
                 .unwrap_or_else(|e| panic!("{label}: uncached run failed: {e}"));
 
             let ctx = EvalContext::new();
             let sim = ctx.simulator(&spec).unwrap().with_threads(threads);
-            let cold = sim.run(&ins).unwrap();
+            let cold = sim.run_data(&ins).unwrap();
             assert!(
                 ctx.transforms().misses() > 0,
                 "{label}: cold run must populate the transform cache"
             );
-            let warm = sim.run(&ins).unwrap();
+            let warm = sim.run_data(&ins).unwrap();
             assert!(
                 ctx.transforms().hits() > 0,
                 "{label}: warm run must hit the transform cache"
@@ -90,9 +95,8 @@ fn warm_cache_is_bit_identical_to_cold_on_all_catalog_specs() {
 
 #[test]
 fn report_cache_returns_the_same_arc_for_identical_requests() {
-    let ins = inputs(12);
-    let data: Vec<TensorData> = ins.iter().map(|t| TensorData::Owned(t.clone())).collect();
-    let refs: Vec<&TensorData> = data.iter().collect();
+    let data = inputs(12);
+    let refs = refs(&data);
     for (label, yaml) in teaal_fixtures::spmspm_specs() {
         let ctx = EvalContext::new();
         let spec = TeaalSpec::parse(yaml).unwrap();
@@ -209,18 +213,19 @@ proptest! {
     /// threads) reproduces the uncached run bit for bit.
     #[test]
     fn cached_run_matches_uncached_on_random_inputs((a, b) in arb_pair()) {
-        let ins = vec![a, b];
+        let data = [a.into(), b.into()];
+        let ins = refs(&data);
         for threads in [1usize, 4] {
             let spec = TeaalSpec::parse(SPMSPM).unwrap();
             let baseline = Simulator::new(spec.clone())
                 .unwrap()
                 .with_threads(threads)
-                .run(&ins)
+                .run_data(&ins)
                 .unwrap();
             let ctx = EvalContext::new();
             let sim = ctx.simulator(&spec).unwrap().with_threads(threads);
-            let cold = sim.run(&ins).unwrap();
-            let warm = sim.run(&ins).unwrap();
+            let cold = sim.run_data(&ins).unwrap();
+            let warm = sim.run_data(&ins).unwrap();
             let want = fingerprint(&baseline);
             prop_assert_eq!(&fingerprint(&cold), &want);
             prop_assert_eq!(&fingerprint(&warm), &want);

@@ -71,7 +71,7 @@ fn descending_past_the_working_order_is_a_phantom_rank_error() {
     let mut boundaries = BoundaryCache::new();
 
     let err = engine
-        .execute(&env, &mut instruments, &mut boundaries)
+        .execute_data(&env, &mut instruments, &mut boundaries)
         .expect_err("the malformed plan must not execute");
     match err {
         SimError::PhantomRank {

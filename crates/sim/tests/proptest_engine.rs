@@ -38,7 +38,9 @@ fn dense_reference(a: &Tensor, b: &Tensor) -> BTreeMap<(u64, u64), f64> {
 fn check(spec_src: &str, a: &Tensor, b: &Tensor) -> Result<(), TestCaseError> {
     let spec = TeaalSpec::parse(spec_src).expect("spec parses");
     let sim = Simulator::new(spec).expect("spec lowers");
-    let report = sim.run(&[a.clone(), b.clone()]).expect("runs");
+    let report = sim
+        .run_data(&[&a.clone().into(), &b.clone().into()])
+        .expect("runs");
     let z = report.final_output().expect("Z produced");
     let want = dense_reference(a, b);
     let mut got = BTreeMap::new();
@@ -145,7 +147,7 @@ proptest! {
         for spec in [OUTERSPACE_STYLE, TILED_STYLE, GUSTAVSON_STYLE] {
             let sim = Simulator::new(TeaalSpec::parse(spec).expect("parses"))
                 .expect("lowers");
-            let report = sim.run(&[a.clone(), b.clone()]).expect("runs");
+            let report = sim.run_data(&[&a.clone().into(), &b.clone().into()]).expect("runs");
             answers.push(report.final_output().expect("Z").clone());
         }
         prop_assert_eq!(answers[0].max_abs_diff(&answers[1]), 0.0);

@@ -30,7 +30,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use teaal_core::{failpoint, TeaalSpec};
-use teaal_fibertree::{telemetry, Tensor};
+use teaal_fibertree::{telemetry, TensorData};
 use teaal_sim::{BudgetKind, CancelToken, EvalContext, EvalLimits, SimError, SimReport, Simulator};
 use teaal_workloads::genmat;
 
@@ -64,10 +64,14 @@ impl Drop for FailpointSession {
 
 /// Same input group as the cache suite: sized so every catalog spec's
 /// partitioning lowers.
-fn inputs(seed: u64) -> Vec<Tensor> {
+fn inputs(seed: u64) -> Vec<TensorData> {
     let a = genmat::uniform("A", &["K", "M"], 48, 48, 320, seed);
     let b = genmat::uniform("B", &["K", "N"], 48, 40, 280, seed + 1);
-    vec![a, b]
+    vec![a.into(), b.into()]
+}
+
+fn refs(ins: &[TensorData]) -> Vec<&TensorData> {
+    ins.iter().collect()
 }
 
 /// A bit-exact fingerprint of everything a report carries.
@@ -103,12 +107,13 @@ const SHARDABLE: &str = concat!(
 
 #[test]
 fn injected_shard_panic_degrades_to_sequential_bit_identically() {
-    let ins = inputs(31);
+    let data = inputs(31);
+    let ins = refs(&data);
     let spec = TeaalSpec::parse(SHARDABLE).unwrap();
     let baseline = Simulator::new(spec.clone())
         .unwrap()
         .with_threads(1)
-        .run(&ins)
+        .run_data(&ins)
         .unwrap();
 
     let _fp = FailpointSession::install("engine.shard:panic@1");
@@ -116,7 +121,7 @@ fn injected_shard_panic_degrades_to_sequential_bit_identically() {
     let report = Simulator::new(spec)
         .unwrap()
         .with_threads(4)
-        .run(&ins)
+        .run_data(&ins)
         .expect("a panicking shard worker must degrade, not fail the run");
     assert_eq!(
         fingerprint(&report),
@@ -132,26 +137,27 @@ fn injected_shard_panic_degrades_to_sequential_bit_identically() {
 
 #[test]
 fn injected_shard_panic_only_hits_once_so_a_rerun_shards_cleanly() {
-    let ins = inputs(32);
+    let data = inputs(32);
+    let ins = refs(&data);
     let spec = TeaalSpec::parse(SHARDABLE).unwrap();
     let baseline = Simulator::new(spec.clone())
         .unwrap()
         .with_threads(1)
-        .run(&ins)
+        .run_data(&ins)
         .unwrap();
 
     let _fp = FailpointSession::install("engine.shard:panic@1");
     let first = Simulator::new(spec.clone())
         .unwrap()
         .with_threads(4)
-        .run(&ins)
+        .run_data(&ins)
         .unwrap();
     // `@1` fired during the first attempt; the second run's shard workers
     // pass the site untouched and the parallel path itself must agree.
     let second = Simulator::new(spec)
         .unwrap()
         .with_threads(4)
-        .run(&ins)
+        .run_data(&ins)
         .unwrap();
     assert_eq!(fingerprint(&first), fingerprint(&baseline));
     assert_eq!(fingerprint(&second), fingerprint(&baseline));
@@ -159,7 +165,8 @@ fn injected_shard_panic_only_hits_once_so_a_rerun_shards_cleanly() {
 
 #[test]
 fn injected_transform_error_is_structured_not_a_panic() {
-    let ins = inputs(33);
+    let data = inputs(33);
+    let ins = refs(&data);
     // Gamma's mapping transforms its inputs, so the transform chain (and
     // its failpoint site) runs on this path.
     let (_, yaml) = teaal_fixtures::spmspm_specs()[2];
@@ -167,7 +174,7 @@ fn injected_transform_error_is_structured_not_a_panic() {
     let _fp = FailpointSession::install("transform.swizzle:err@1");
     let err = Simulator::new(spec)
         .unwrap()
-        .run(&ins)
+        .run_data(&ins)
         .expect_err("the injected transform error must surface");
     match err {
         SimError::Fibertree(msg) => assert!(
@@ -180,13 +187,14 @@ fn injected_transform_error_is_structured_not_a_panic() {
 
 #[test]
 fn expired_deadline_returns_structured_error_with_progress() {
-    let ins = inputs(34);
+    let data = inputs(34);
+    let ins = refs(&data);
     let spec = TeaalSpec::parse(SHARDABLE).unwrap();
     let sim = Simulator::new(spec)
         .unwrap()
         .with_limits(EvalLimits::default().with_deadline(Duration::ZERO));
     std::thread::sleep(Duration::from_millis(2));
-    match sim.run(&ins) {
+    match sim.run_data(&ins) {
         Err(SimError::DeadlineExceeded { progress }) => {
             // The run was cut off at the very start, but the telemetry
             // snapshot is still attached and coherent.
@@ -198,12 +206,13 @@ fn expired_deadline_returns_structured_error_with_progress() {
 
 #[test]
 fn step_budget_trips_mid_run_with_partial_telemetry() {
-    let ins = inputs(35);
+    let data = inputs(35);
+    let ins = refs(&data);
     let spec = TeaalSpec::parse(SHARDABLE).unwrap();
     let sim = Simulator::new(spec)
         .unwrap()
         .with_limits(EvalLimits::default().with_max_engine_steps(200));
-    match sim.run(&ins) {
+    match sim.run_data(&ins) {
         Err(SimError::BudgetExceeded {
             resource: BudgetKind::EngineSteps,
             limit,
@@ -223,12 +232,13 @@ fn step_budget_trips_mid_run_with_partial_telemetry() {
 
 #[test]
 fn output_budget_trips() {
-    let ins = inputs(36);
+    let data = inputs(36);
+    let ins = refs(&data);
     let spec = TeaalSpec::parse(SHARDABLE).unwrap();
     let sim = Simulator::new(spec)
         .unwrap()
         .with_limits(EvalLimits::default().with_max_output_entries(5));
-    match sim.run(&ins) {
+    match sim.run_data(&ins) {
         Err(SimError::BudgetExceeded {
             resource: BudgetKind::OutputEntries,
             used,
@@ -240,37 +250,39 @@ fn output_budget_trips() {
 
 #[test]
 fn external_cancellation_returns_cancelled() {
-    let ins = inputs(37);
+    let data = inputs(37);
+    let ins = refs(&data);
     let spec = TeaalSpec::parse(SHARDABLE).unwrap();
     let token = CancelToken::unlimited();
     token.cancel();
     let err = Simulator::new(spec)
         .unwrap()
         .with_cancel(token)
-        .run(&ins)
+        .run_data(&ins)
         .expect_err("a pre-cancelled token must stop the run");
     assert!(matches!(err, SimError::Cancelled { .. }), "got {err:?}");
 }
 
 #[test]
 fn bounded_context_evicts_and_warm_runs_stay_bit_identical() {
-    let ins = inputs(38);
+    let data = inputs(38);
+    let ins = refs(&data);
     // Small enough that the four catalog specs' transformed inputs cannot
     // all stay resident, large enough that single artifacts fit.
     let bounded = EvalContext::with_capacity(64 * 1024);
     let unbounded = EvalContext::new();
     for (label, yaml) in teaal_fixtures::spmspm_specs() {
         let spec = TeaalSpec::parse(yaml).unwrap();
-        let want = fingerprint(&unbounded.simulator(&spec).unwrap().run(&ins).unwrap());
-        let cold = fingerprint(&bounded.simulator(&spec).unwrap().run(&ins).unwrap());
+        let want = fingerprint(&unbounded.simulator(&spec).unwrap().run_data(&ins).unwrap());
+        let cold = fingerprint(&bounded.simulator(&spec).unwrap().run_data(&ins).unwrap());
         assert_eq!(cold, want, "{label}: bounded cold run diverges");
     }
     // Second sweep: artifacts evicted by the first sweep are rebuilt
     // bit-identically on their next miss.
     for (label, yaml) in teaal_fixtures::spmspm_specs() {
         let spec = TeaalSpec::parse(yaml).unwrap();
-        let want = fingerprint(&unbounded.simulator(&spec).unwrap().run(&ins).unwrap());
-        let warm = fingerprint(&bounded.simulator(&spec).unwrap().run(&ins).unwrap());
+        let want = fingerprint(&unbounded.simulator(&spec).unwrap().run_data(&ins).unwrap());
+        let warm = fingerprint(&bounded.simulator(&spec).unwrap().run_data(&ins).unwrap());
         assert_eq!(warm, want, "{label}: run after evictions diverges");
     }
     assert!(
@@ -304,8 +316,9 @@ fn nan_modelled_time_is_a_structured_error_not_a_panic() {
         "          bandwidth: 0\n",
     ))
     .unwrap();
-    let ins = inputs(39);
-    match Simulator::new(spec).unwrap().run(&ins) {
+    let data = inputs(39);
+    let ins = refs(&data);
+    match Simulator::new(spec).unwrap().run_data(&ins) {
         Err(SimError::NonFiniteTime { component }) => {
             assert!(!component.is_empty());
         }
@@ -330,12 +343,13 @@ proptest! {
         entries in 1u64..2_000,
         spec_idx in 0usize..4,
     ) {
-        let ins = inputs(40);
+        let data = inputs(40);
+        let ins = refs(&data);
         let (label, yaml) = teaal_fixtures::spmspm_specs()[spec_idx];
         let spec = TeaalSpec::parse(yaml).unwrap();
 
         let cold_ctx = EvalContext::new();
-        let want = fingerprint(&cold_ctx.simulator(&spec).unwrap().run(&ins).unwrap());
+        let want = fingerprint(&cold_ctx.simulator(&spec).unwrap().run_data(&ins).unwrap());
 
         let ctx = EvalContext::with_capacity(48 * 1024);
         let limits = EvalLimits::default()
@@ -347,14 +361,14 @@ proptest! {
             .simulator(&spec)
             .unwrap()
             .with_limits(limits)
-            .run(&ins);
+            .run_data(&ins);
         if let Err(e) = &budgeted {
             prop_assert!(
                 matches!(e, SimError::BudgetExceeded { .. }),
                 "{label}: unexpected error {e:?}"
             );
         }
-        let warm = fingerprint(&ctx.simulator(&spec).unwrap().run(&ins).unwrap());
+        let warm = fingerprint(&ctx.simulator(&spec).unwrap().run_data(&ins).unwrap());
         prop_assert_eq!(warm, want, "{}: warm run after a cancelled/evicted run diverges", label);
     }
 }

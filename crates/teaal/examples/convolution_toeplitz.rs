@@ -29,21 +29,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "    - O[q] = T[q, s] * F[s]\n",
     ))?;
 
-    let i = TensorBuilder::new("I", &["W"], &[10])
-        .entries((0..10).map(|w| (vec![w], (w + 1) as f64)))
-        .build()?;
-    let f = TensorBuilder::new("F", &["S"], &[3])
-        .entry(&[0], 1.0)
-        .entry(&[1], -2.0)
-        .entry(&[2], 1.0)
-        .build()?;
+    let i = TensorData::from(CompressedTensor::from_entries(
+        "I",
+        &["W"],
+        &[10],
+        (0..10).map(|w| (vec![w], (w + 1) as f64)).collect(),
+    )?);
+    let f = TensorData::from(CompressedTensor::from_entries(
+        "F",
+        &["S"],
+        &[3],
+        vec![(vec![0], 1.0), (vec![1], -2.0), (vec![2], 1.0)],
+    )?);
     let q = 8; // output extent: W - S + 1
 
     let run = |name: &str, spec: TeaalSpec| -> Result<TensorData, Box<dyn std::error::Error>> {
         let sim = Simulator::new(spec)?
             .with_rank_extent("Q", q)
             .with_rank_extent("S", 3);
-        let report = sim.run(&[i.clone(), f.clone()])?;
+        let report = sim.run_data(&[&i, &f])?;
         let o = report.final_output().expect("O produced").clone();
         println!("{name}: O = {o}");
         println!("  einsums executed: {}", report.einsums.len());

@@ -48,6 +48,8 @@ fn spec_with_partition(size: usize) -> String {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let a = genmat::power_law("A", &["K", "M"], 512, 512, 4096, 1.8, 256, 7);
     let b = genmat::power_law("B", &["K", "N"], 512, 512, 4096, 1.8, 256, 8);
+    let a = TensorData::from(CompressedTensor::from_tensor(&a)?);
+    let b = TensorData::from(CompressedTensor::from_tensor(&b)?);
     println!("sweeping occupancy partition size (outer-product multiply phase)\n");
     println!(
         "{:>10}{:>12}{:>14}{:>14}{:>12}",
@@ -56,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for size in [8, 16, 32, 64, 128, 256] {
         let spec = TeaalSpec::parse(&spec_with_partition(size))?;
         let sim = Simulator::new(spec)?;
-        let report = sim.run(&[a.clone(), b.clone()])?;
+        let report = sim.run_data(&[&a, &b])?;
         let t = &report.einsums[0];
         println!(
             "{:>10}{:>12}{:>14}{:>14}{:>12.3e}",

@@ -36,21 +36,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let sim = Simulator::new(spec)?;
 
-    // Real tensors, built from coordinate/value entries.
-    let a = TensorBuilder::new("A", &["K", "M"], &[8, 8])
-        .entry(&[0, 0], 1.0)
-        .entry(&[0, 5], 2.0)
-        .entry(&[3, 2], 3.0)
-        .entry(&[7, 0], 4.0)
-        .entry(&[7, 5], 5.0)
-        .build()?;
-    let b = TensorBuilder::new("B", &["K", "N"], &[8, 8])
-        .entry(&[0, 1], 10.0)
-        .entry(&[3, 3], 20.0)
-        .entry(&[7, 1], 30.0)
-        .build()?;
+    // Real tensors, built from coordinate/value entries straight into
+    // compressed (CSF) storage.
+    let a = TensorData::from(CompressedTensor::from_entries(
+        "A",
+        &["K", "M"],
+        &[8, 8],
+        vec![
+            (vec![0, 0], 1.0),
+            (vec![0, 5], 2.0),
+            (vec![3, 2], 3.0),
+            (vec![7, 0], 4.0),
+            (vec![7, 5], 5.0),
+        ],
+    )?);
+    let b = TensorData::from(CompressedTensor::from_entries(
+        "B",
+        &["K", "N"],
+        &[8, 8],
+        vec![(vec![0, 1], 10.0), (vec![3, 3], 20.0), (vec![7, 1], 30.0)],
+    )?);
 
-    let report = sim.run(&[a, b])?;
+    let report = sim.run_data(&[&a, &b])?;
 
     let z = report.final_output().expect("cascade produced Z");
     println!("Z = {z}");

@@ -10,8 +10,16 @@ use teaal::workloads::by_tag;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ds = by_tag("wi").expect("wiki-Vote is registered");
     let scale = 16;
-    let a = ds.matrix_named("A", &["K", "M"], scale);
-    let b = ds.matrix_named("B", &["K", "N"], scale);
+    let a = TensorData::from(CompressedTensor::from_tensor(&ds.matrix_named(
+        "A",
+        &["K", "M"],
+        scale,
+    ))?);
+    let b = TensorData::from(CompressedTensor::from_tensor(&ds.matrix_named(
+        "B",
+        &["K", "N"],
+        scale,
+    ))?);
     println!(
         "workload: {} at 1/{scale} scale ({} x {}, {} nnz), kernel Z = A^T A\n",
         ds.name,
@@ -27,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut reference: Option<TensorData> = None;
     for accel in SpmspmAccel::all() {
         let sim = accel.simulator()?;
-        let report = sim.run(&[a.clone(), b.clone()])?;
+        let report = sim.run_data(&[&a, &b])?;
         let z = report.final_output().expect("Z produced").clone();
         if let Some(r) = &reference {
             assert_eq!(r.max_abs_diff(&z), 0.0, "accelerators must agree");

@@ -210,7 +210,8 @@ fn parse_requests(text: &str) -> Result<Vec<BatchRequest>, String> {
 }
 
 /// Prints the process-wide pipeline cache statistics (`--cache-stats`) to
-/// stderr, one line per stage cache.
+/// stderr, one line per stage cache, plus the transform, retry and
+/// decompression counters.
 fn print_cache_stats() {
     let snap = telemetry::pipeline_snapshot();
     for (stage, s) in snap.stages() {
@@ -226,6 +227,10 @@ fn print_cache_stats() {
     eprintln!(
         "cache-stats: degraded-sequential retries={}",
         snap.degraded_sequential
+    );
+    eprintln!(
+        "cache-stats: decompressions={}",
+        telemetry::decompress_count()
     );
 }
 
@@ -299,7 +304,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     // the first request spec declaring the tensor.
     let rank_order_of =
         |name: &str| -> Option<Vec<String>> { specs.iter().find_map(|s| s.rank_order_of(name)) };
-    let mut tensors: Vec<Tensor> = Vec::new();
+    let mut tensors: Vec<TensorData> = Vec::new();
     let mut extents: Vec<(String, u64)> = Vec::new();
     let mut ops = OpTable::arithmetic();
     let mut seed = 0u64;
@@ -316,8 +321,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 let kv = args.get(i + 1).ok_or("--tensor needs NAME=FILE")?;
                 let (name, path) = kv.split_once('=').ok_or("--tensor needs NAME=FILE")?;
                 let f = File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-                let t = tio::read_tensor(BufReader::new(f), name).map_err(|e| e.to_string())?;
-                tensors.push(t);
+                let t = tio::read_compressed(BufReader::new(f), name).map_err(|e| e.to_string())?;
+                tensors.push(t.into());
                 i += 2;
             }
             "--random" => {
@@ -339,7 +344,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                         "--random {name}={rows}x{cols}: both dimensions must be at least 1"
                     ));
                 }
-                let t = genmat::uniform(
+                let t = genmat::uniform_compressed(
                     name,
                     &[&rank_ids[0], &rank_ids[1]],
                     rows,
@@ -347,7 +352,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     nnz.parse().map_err(|_| "bad nnz")?,
                     seed,
                 );
-                tensors.push(t);
+                tensors.push(t.into());
                 i += 2;
             }
             "--extent" => {
@@ -497,7 +502,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             for (rank, n) in &extents {
                 sim = sim.with_rank_extent(rank, *n);
             }
-            let report = sim.run(&tensors).map_err(|e| e.to_string());
+            let refs: Vec<&TensorData> = tensors.iter().collect();
+            let report = sim.run_data(&refs).map_err(|e| e.to_string());
             match (command, report) {
                 ("run", Ok(report)) => {
                     println!("{report}");
@@ -526,7 +532,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 fn run_explore(
     ctx: &Arc<EvalContext>,
     spec: &TeaalSpec,
-    tensors: &[Tensor],
+    tensors: &[TensorData],
     extents: &[(String, u64)],
     ops: OpTable,
     threads: usize,
@@ -612,19 +618,14 @@ fn run_batch(
     ctx: &Arc<EvalContext>,
     requests: &[BatchRequest],
     specs: &[Arc<TeaalSpec>],
-    tensors: &[Tensor],
+    tensors: &[TensorData],
     extents: &[(String, u64)],
     ops: OpTable,
     threads: usize,
     token: &Option<CancelToken>,
 ) -> Result<ExitCode, String> {
-    // The dataset is shared read-only by every request: materialize the
-    // `TensorData` views once here instead of cloning every tensor per
-    // request inside the worker loop.
-    let data: Vec<TensorData> = tensors
-        .iter()
-        .map(|t| TensorData::Owned(t.clone()))
-        .collect();
+    // The dataset is shared read-only by every request.
+    let refs: Vec<&TensorData> = tensors.iter().collect();
     // Evaluation (including panic isolation and failure classification)
     // lives in `teaal::request`, shared verbatim with `teaal serve` — so
     // batch's error blocks and serve's wire error codes cannot drift.
@@ -634,7 +635,6 @@ fn run_batch(
             loop_order: req.loop_order.clone(),
             ops: req.ops,
         };
-        let refs: Vec<&TensorData> = data.iter().collect();
         evaluate_request(
             ctx,
             &specs[i],

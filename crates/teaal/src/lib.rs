@@ -43,12 +43,12 @@
 //! // 2. Generate its simulator.
 //! let sim = Simulator::new(spec)?;
 //!
-//! // 3. Run it on real sparse tensors.
-//! let a = Tensor::from_entries("A", &["K", "M"], &[4, 4],
-//!     vec![(vec![0, 1], 2.0), (vec![3, 2], 5.0)]).unwrap();
-//! let b = Tensor::from_entries("B", &["K", "N"], &[4, 4],
-//!     vec![(vec![0, 0], 3.0), (vec![3, 3], 7.0)]).unwrap();
-//! let report = sim.run(&[a, b])?;
+//! // 3. Run it on real sparse tensors, in compressed (CSF) storage.
+//! let a = TensorData::from(CompressedTensor::from_entries("A", &["K", "M"], &[4, 4],
+//!     vec![(vec![0, 1], 2.0), (vec![3, 2], 5.0)])?);
+//! let b = TensorData::from(CompressedTensor::from_entries("B", &["K", "N"], &[4, 4],
+//!     vec![(vec![0, 0], 3.0), (vec![3, 3], 7.0)])?);
+//! let report = sim.run_data(&[&a, &b])?;
 //!
 //! assert_eq!(report.final_output().unwrap().get(&[1, 0]), Some(6.0));
 //! assert!(report.dram_bytes() > 0);

@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use teaal_core::failpoint::{self, FailAction};
 use teaal_fibertree::telemetry;
-use teaal_fibertree::{Tensor, TensorData};
+use teaal_fibertree::TensorData;
 use teaal_sim::{CancelToken, EvalContext, EvalLimits, OpTable};
 use teaal_workloads::{genmat, io as tio};
 
@@ -96,7 +96,7 @@ pub struct ServeConfig {
     /// Default operator table (requests may override with `ops`).
     pub ops: OpTable,
     /// The shared dataset every request evaluates against.
-    pub tensors: Vec<Tensor>,
+    pub tensors: Vec<TensorData>,
     /// Default rank extents.
     pub extents: Vec<(String, u64)>,
     /// Bound on the shared pipeline caches (`--max-cache-mb`).
@@ -747,11 +747,7 @@ pub fn serve(cfg: ServeConfig) -> Result<ExitCode, String> {
     }
     let daemon = Arc::new(Daemon {
         ctx,
-        data: cfg
-            .tensors
-            .iter()
-            .map(|t| TensorData::Owned(t.clone()))
-            .collect(),
+        data: cfg.tensors,
         queue: Mutex::new(Queue {
             jobs: VecDeque::new(),
             closed: false,
@@ -957,8 +953,8 @@ pub fn run_serve(args: &[String]) -> Result<ExitCode, String> {
                 let kv = args.get(i + 1).ok_or_else(|| need("NAME=FILE"))?;
                 let (name, path) = kv.split_once('=').ok_or("--tensor needs NAME=FILE")?;
                 let f = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-                let t = tio::read_tensor(BufReader::new(f), name).map_err(|e| e.to_string())?;
-                cfg.tensors.push(t);
+                let t = tio::read_compressed(BufReader::new(f), name).map_err(|e| e.to_string())?;
+                cfg.tensors.push(t.into());
                 i += 2;
             }
             "--random" => {
@@ -1030,14 +1026,17 @@ pub fn run_serve(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     for (name, ranks, rows, cols, nnz) in randoms {
-        cfg.tensors.push(genmat::uniform(
-            &name,
-            &[ranks[0].as_str(), ranks[1].as_str()],
-            rows,
-            cols,
-            nnz,
-            seed,
-        ));
+        cfg.tensors.push(
+            genmat::uniform_compressed(
+                &name,
+                &[ranks[0].as_str(), ranks[1].as_str()],
+                rows,
+                cols,
+                nnz,
+                seed,
+            )
+            .into(),
+        );
     }
     serve(cfg)
 }

@@ -1,10 +1,9 @@
 //! The `teaal serve` wire format: hand-rolled, length-prefixed,
 //! newline-framed request/response frames.
 //!
-//! The vendored serde stub has no serializer (its derives are no-ops),
-//! so the daemon speaks a format small enough to parse by hand and
-//! robust enough to fuzz. When the real serde lands (see ROADMAP), the
-//! field encoding below shrinks to derives; the framing stays.
+//! The build is offline with no serialization crate, so the daemon
+//! speaks a format small enough to parse by hand and robust enough to
+//! fuzz.
 //!
 //! # Frame layout
 //!

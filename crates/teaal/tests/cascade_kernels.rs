@@ -58,7 +58,9 @@ fn mttkrp_direct_and_factorized_agree() {
 
     let run = |spec: TeaalSpec| {
         let sim = Simulator::new(spec).unwrap();
-        let report = sim.run(&[t.clone(), b.clone(), a.clone()]).unwrap();
+        let report = sim
+            .run_data(&[&t.clone().into(), &b.clone().into(), &a.clone().into()])
+            .unwrap();
         report.final_output().unwrap().clone()
     };
     let c_direct = run(direct);
@@ -117,7 +119,7 @@ fn cooley_tukey_fft_step_cascade_runs() {
         .build()
         .unwrap();
     let sim = Simulator::new(spec).unwrap();
-    let report = sim.run(&[e, o, w]).unwrap();
+    let report = sim.run_data(&[&e.into(), &o.into(), &w.into()]).unwrap();
     let y0 = report.outputs.get("Y0").unwrap();
     let y1 = report.outputs.get("Y1").unwrap();
     // Y0[c] = E + 0.5·O; Y1[c] = E − 0.5·O.
@@ -159,7 +161,7 @@ fn eyeriss_style_2d_convolution() {
         .with_rank_extent("Q", 2)
         .with_rank_extent("R", 2)
         .with_rank_extent("S", 2);
-    let report = sim.run(&[i, f]).unwrap();
+    let report = sim.run_data(&[&i.into(), &f.into()]).unwrap();
     let o = report.final_output().unwrap();
     // O[p, q] = I[p, q] + I[p+1, q+1].
     assert_eq!(o.get(&[0, 0]), Some(1.0 + 5.0));
@@ -203,7 +205,7 @@ fn full_spec_parse_lower_run_roundtrip() {
     let sim = Simulator::new(spec).unwrap();
     let a = teaal::workloads::genmat::uniform("A", &["K", "M"], 30, 30, 120, 5);
     let b = teaal::workloads::genmat::uniform("B", &["K", "N"], 30, 30, 120, 6);
-    let report = sim.run(&[a, b]).unwrap();
+    let report = sim.run_data(&[&a.into(), &b.into()]).unwrap();
     assert!(report.seconds > 0.0);
     assert_eq!(report.cycles, report.seconds * 2e9);
 }

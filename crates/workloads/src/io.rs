@@ -64,9 +64,6 @@ struct CooFile {
 ///
 /// Returns [`TensorIoError`] on I/O failure or malformed lines.
 pub fn read_tensor(reader: impl BufRead, default_name: &str) -> Result<Tensor, TensorIoError> {
-    if let Err(message) = teaal_core::failpoint::hit("io.read") {
-        return Err(TensorIoError::Parse { line: 0, message });
-    }
     let coo = read_coo(reader, default_name)?;
     let ids: Vec<&str> = coo.rank_ids.iter().map(String::as_str).collect();
     Tensor::from_entries(coo.name, &ids, &coo.shape, coo.entries).map_err(|e| {
@@ -99,6 +96,9 @@ pub fn read_compressed(
 }
 
 fn read_coo(reader: impl BufRead, default_name: &str) -> Result<CooFile, TensorIoError> {
+    if let Err(message) = teaal_core::failpoint::hit("io.read") {
+        return Err(TensorIoError::Parse { line: 0, message });
+    }
     let mut name = default_name.to_string();
     let mut rank_ids: Option<Vec<String>> = None;
     let mut shape: Option<Vec<u64>> = None;
@@ -174,52 +174,26 @@ fn read_coo(reader: impl BufRead, default_name: &str) -> Result<CooFile, TensorI
     })
 }
 
-/// Writes a tensor in the same format (header + one entry per line).
-///
-/// # Errors
-///
-/// Returns [`TensorIoError::Io`] on write failure.
-pub fn write_tensor(mut writer: impl Write, t: &Tensor) -> Result<(), TensorIoError> {
-    write_parts(
-        &mut writer,
-        t.name(),
-        t.rank_ids(),
-        t.rank_shapes(),
-        t.entries(),
-    )
-}
-
-/// Writes a tensor in either representation, without decompressing.
+/// Writes a tensor in the same format (header + one entry per line), in
+/// either representation, without decompressing.
 ///
 /// # Errors
 ///
 /// Returns [`TensorIoError::Io`] on write failure.
 pub fn write_tensor_data(mut writer: impl Write, t: &TensorData) -> Result<(), TensorIoError> {
-    write_parts(
-        &mut writer,
-        t.name(),
-        t.rank_ids(),
-        t.rank_shapes(),
-        t.entries(),
-    )
-}
-
-fn write_parts(
-    writer: &mut impl Write,
-    name: &str,
-    rank_ids: &[String],
-    rank_shapes: &[teaal_fibertree::Shape],
-    entries: Vec<(Vec<u64>, f64)>,
-) -> Result<(), TensorIoError> {
-    let shape: Vec<String> = rank_shapes.iter().map(|s| s.extent().to_string()).collect();
+    let shape: Vec<String> = t
+        .rank_shapes()
+        .iter()
+        .map(|s| s.extent().to_string())
+        .collect();
     writeln!(
         writer,
         "# tensor {} ranks {} shape {}",
-        name,
-        rank_ids.join(","),
+        t.name(),
+        t.rank_ids().join(","),
         shape.join(",")
     )?;
-    for (point, v) in entries {
+    for (point, v) in t.entries() {
         for c in &point {
             write!(writer, "{c} ")?;
         }
@@ -260,7 +234,7 @@ mod tests {
         )
         .unwrap();
         let mut buf = Vec::new();
-        write_tensor(&mut buf, &t).unwrap();
+        write_tensor_data(&mut buf, &t.clone().into()).unwrap();
         let back = read_tensor(Cursor::new(&buf), "X").unwrap();
         assert_eq!(back.name(), "A");
         assert_eq!(back.rank_ids(), t.rank_ids());
@@ -277,7 +251,7 @@ mod tests {
         )
         .unwrap();
         let mut buf = Vec::new();
-        write_tensor(&mut buf, &t).unwrap();
+        write_tensor_data(&mut buf, &t.clone().into()).unwrap();
         let owned = read_tensor(Cursor::new(&buf), "X").unwrap();
         let compressed = read_compressed(Cursor::new(&buf), "X").unwrap();
         assert_eq!(compressed.to_tensor(), owned);
