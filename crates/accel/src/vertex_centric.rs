@@ -241,8 +241,9 @@ pub fn yaml(design: GraphDesign, vertices: u64, weighted: bool) -> String {
     // bookkeeping MP/NP/M, and the active lists — lives in the 64 MB
     // eDRAM, as in the published designs. Binding the apply ALU to both
     // P1 and M keeps Graphicionado's apply Einsums in separate blocks
-    // (§4.3 criterion 3), so the full dense P1 write-back hits DRAM —
-    // exactly the traffic GraphDynS's masked write-back avoids.
+    // (third of the §4.3 fusion criteria), so the full dense P1
+    // write-back hits DRAM — exactly the traffic GraphDynS's masked
+    // write-back avoids.
     let edram = |tensor: &str, rank: &str| {
         format!(
             concat!(

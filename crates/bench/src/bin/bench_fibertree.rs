@@ -2,13 +2,16 @@
 //! `BENCH_fibertree.json` — the start of the storage-layer perf
 //! trajectory.
 //!
-//! Five cases, each timed over both representations of identical
-//! content:
+//! Each case is timed over both representations of identical content:
 //!
 //! 1. `leaf_stream` — DFS over every leaf of a large sparse matrix (the
 //!    full-tensor iteration every simulation performs per operand),
-//! 2. `intersect2_vectors` — two-finger co-iteration of two long sparse
-//!    vectors (the per-rank inner loop of every SpMSpM),
+//! 2. `intersect2_vectors` — co-iteration of two long sparse vectors (the
+//!    per-rank inner loop of every SpMSpM), once per intersection policy
+//!    of `iterate.rs`: two-finger merge under the plain name, then
+//!    `intersect2_vectors_leader_follower` (leader lookups in the
+//!    follower) and `intersect2_vectors_skip_ahead` (galloping). Every
+//!    policy must find the two-finger match count, or the run panics,
 //! 3. `rowwise_cointeration` — Gustavson-style traversal: intersect the
 //!    row ranks of two matrices, then co-iterate the matching row pairs,
 //! 4. `transform_swizzle_partition` — a Gamma-style transform pipeline
@@ -32,17 +35,16 @@
 //! transformed-input caching.
 //!
 //! Pass `--quick` for a CI-sized run. Timings are the minimum of several
-//! repetitions of a full pass (wall clock; the stub criterion offers no
-//! statistics, and minima are the stablest point estimate available).
+//! repetitions of a full pass (wall clock; minima are the stablest point
+//! estimate available).
 
 use std::io::Write as _;
 use std::time::Instant;
 
-use teaal_bench::leaf_sum;
 use teaal_core::TeaalSpec;
 use teaal_fibertree::iterate::{intersect2_stream, IntersectPolicy};
 use teaal_fibertree::partition::SplitKind;
-use teaal_fibertree::{CompressedTensor, FiberView, Tensor, TensorData};
+use teaal_fibertree::{CompressedTensor, FiberView, PayloadView, Tensor, TensorData};
 use teaal_sim::Simulator;
 use teaal_workloads::genmat;
 
@@ -61,6 +63,19 @@ fn time_min<R>(reps: usize, mut f: impl FnMut() -> R) -> u128 {
         best = best.min(start.elapsed().as_nanos());
     }
     best.max(1)
+}
+
+/// Sums every leaf reachable from a view — the canonical full-tensor
+/// iteration both storage representations must serve.
+fn leaf_sum(v: FiberView<'_>) -> f64 {
+    let mut acc = 0.0;
+    for pos in 0..v.occupancy() {
+        match v.payload_at(pos) {
+            PayloadView::Val(x) => acc += x,
+            PayloadView::Fiber(child) => acc += leaf_sum(child),
+        }
+    }
+    acc
 }
 
 /// Gustavson-style co-iteration: intersect the top ranks, then the
@@ -124,7 +139,7 @@ fn main() {
         });
     }
 
-    // Case 2: two-finger intersection of two long sparse vectors.
+    // Case 2: intersection of two long sparse vectors, once per policy.
     {
         let oa = TensorData::Owned(genmat::uniform("A", &["M", "K"], 1, vec_dim, vec_nnz, 2));
         let ob = TensorData::Owned(genmat::uniform("B", &["M", "K"], 1, vec_dim, vec_nnz, 3));
@@ -151,17 +166,34 @@ fn main() {
                 .as_fiber()
                 .unwrap()
         }
-        let drain = |a: FiberView<'_>, b: FiberView<'_>| {
-            intersect2_stream(a, b, IntersectPolicy::TwoFinger).count()
+        let drain = |a: FiberView<'_>, b: FiberView<'_>, policy: IntersectPolicy| {
+            intersect2_stream(a, b, policy).count()
         };
-        let owned_ns = time_min(reps, || drain(fiber(&oa), fiber(&ob)));
-        let compressed_ns = time_min(reps, || drain(fiber(&ca), fiber(&cb)));
-        results.push(CaseResult {
-            case: "intersect2_vectors",
-            detail: format!("2 x {vec_nnz} of {vec_dim}"),
-            owned_ns,
-            compressed_ns,
-        });
+        let matches = drain(fiber(&ca), fiber(&cb), IntersectPolicy::TwoFinger);
+        for (case, policy) in [
+            ("intersect2_vectors", IntersectPolicy::TwoFinger),
+            (
+                "intersect2_vectors_leader_follower",
+                IntersectPolicy::LeaderFollower { leader: 0 },
+            ),
+            ("intersect2_vectors_skip_ahead", IntersectPolicy::SkipAhead),
+        ] {
+            for (a, b) in [(&oa, &ob), (&ca, &cb)] {
+                assert_eq!(
+                    drain(fiber(a), fiber(b), policy),
+                    matches,
+                    "{case} must find the two-finger matches"
+                );
+            }
+            let owned_ns = time_min(reps, || drain(fiber(&oa), fiber(&ob), policy));
+            let compressed_ns = time_min(reps, || drain(fiber(&ca), fiber(&cb), policy));
+            results.push(CaseResult {
+                case,
+                detail: format!("2 x {vec_nnz} of {vec_dim}"),
+                owned_ns,
+                compressed_ns,
+            });
+        }
     }
 
     // Case 3: row-wise (Gustavson) co-iteration of two matrices.
@@ -304,12 +336,12 @@ fn main() {
     }
 
     println!(
-        "{:<28}{:>16}{:>16}{:>10}",
+        "{:<36}{:>16}{:>16}{:>10}",
         "case", "owned ns", "compressed ns", "speedup"
     );
     for r in &results {
         println!(
-            "{:<28}{:>16}{:>16}{:>9.2}x  ({})",
+            "{:<36}{:>16}{:>16}{:>9.2}x  ({})",
             r.case,
             r.owned_ns,
             r.compressed_ns,

@@ -9,8 +9,8 @@
 //! 3. disjoint subsets of the non-storage components are each exclusively
 //!    used by only one Einsum.
 //!
-//! A greedy pass fuses successive Einsums into a block until a criterion
-//! fails, then starts a new block (the paper's heuristic).
+//! A greedy pass fuses successive Einsums into a block until one of the
+//! criteria fails, then starts a new block (the paper's heuristic).
 
 use std::collections::BTreeSet;
 

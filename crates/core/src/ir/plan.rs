@@ -169,7 +169,7 @@ impl EinsumPlan {
     }
 
     /// The temporal rank names preceding the first spatial rank — the
-    /// quantity compared by fusion criterion 2 (§4.3).
+    /// quantity compared by the second of the fusion criteria (§4.3).
     pub fn temporal_prefix(&self) -> Vec<String> {
         self.loop_ranks
             .iter()

@@ -20,6 +20,11 @@
 //!   survivors through the engine, re-ranked by exact results. Per
 //!   candidate the estimator is O(plan size) instead of O(nnz), so large
 //!   search spaces cost a handful of engine runs instead of hundreds.
+//!
+//! Both share one engine-verification step: the same candidate
+//! compilation, the `explore.candidate` failpoint, and one search-wide
+//! [`CancelToken`] built from [`ExploreConfig::limits`], so a deadline or
+//! budget bounds either search and trips it with the structured error.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -95,13 +100,16 @@ impl Candidate {
     }
 }
 
-/// Configuration for the two-phase [`explore_fast`] search.
+/// Configuration for both searches; `top_k` and `margin` apply only to
+/// the two-phase [`explore_fast`].
 #[derive(Clone, Debug)]
 pub struct ExploreConfig {
-    /// What to optimize (both phases rank by this).
+    /// What to optimize (every ranking is by this).
     pub objective: Objective,
-    /// Maximum number of candidates admitted to the estimated universe
-    /// (candidates that fail to lower are skipped, not charged).
+    /// Maximum number of candidates a search admits: successfully
+    /// estimated ones for [`explore_fast`], successfully engine-evaluated
+    /// ones for [`explore_loop_orders_with_context`]. Candidates that fail
+    /// to lower are skipped, not charged.
     pub budget: usize,
     /// Maximum number of estimated candidates verified by the engine.
     /// The default (12) is sized for flat cost landscapes: when many
@@ -114,13 +122,14 @@ pub struct ExploreConfig {
     /// at most `top_k` of them). Raise it when the estimator is expected
     /// to be less faithful (heavy value cancellation, skewed data).
     pub margin: f64,
-    /// Worker threads for the engine-verification phase (the estimation
-    /// sweep is sequential — it is orders of magnitude cheaper).
+    /// Worker threads for engine verification (the estimation sweep is
+    /// sequential — it is orders of magnitude cheaper).
     pub threads: usize,
-    /// Search-wide resource budgets. One [`CancelToken`] is created for
-    /// the whole search and shared by every candidate evaluation, so
-    /// the deadline and step budget bound the *search*, not each
-    /// candidate; a trip aborts with the structured error.
+    /// Search-wide resource budgets, honoured by both searches. One
+    /// [`CancelToken`] is created for the whole search and shared by
+    /// every candidate evaluation, so the deadline and step budget bound
+    /// the *search*, not each candidate; a trip aborts with the
+    /// structured error.
     pub limits: EvalLimits,
 }
 
@@ -176,93 +185,47 @@ pub fn explore_loop_orders(
     objective: Objective,
     max_candidates: usize,
 ) -> Result<Vec<Candidate>, SimError> {
-    explore_loop_orders_with_threads(spec, einsum, inputs, ops, objective, max_candidates, 1)
-}
-
-/// [`explore_loop_orders`] with candidate evaluation fanned out across up
-/// to `threads` scoped workers.
-///
-/// Workers pull candidates from a shared work-stealing queue (an atomic
-/// next-candidate index), so a slow mapping no longer stalls a whole
-/// chunk of fast ones. Successes still count in permutation order until
-/// the budget fills, so the returned set — and its ranking — is identical
-/// to the sequential exploration for any thread count. Each candidate
-/// simulation itself runs sequentially (the fan-out is across mappings,
-/// not within one).
-///
-/// # Errors
-///
-/// As [`explore_loop_orders`].
-pub fn explore_loop_orders_with_threads(
-    spec: &TeaalSpec,
-    einsum: &str,
-    inputs: &[impl Clone + Into<TensorData>],
-    ops: OpTable,
-    objective: Objective,
-    max_candidates: usize,
-    threads: usize,
-) -> Result<Vec<Candidate>, SimError> {
-    explore_loop_orders_with_context(
-        spec,
-        einsum,
-        inputs,
-        ops,
+    let config = ExploreConfig {
         objective,
-        max_candidates,
-        threads,
-        None,
-    )
+        budget: max_candidates,
+        ..ExploreConfig::default()
+    };
+    explore_loop_orders_with_context(spec, einsum, inputs, ops, &config, None)
 }
 
-/// [`explore_loop_orders_with_threads`] with an optional shared
-/// [`EvalContext`]: candidate specs compile through the context's plan
-/// cache and every engine run shares the transform cache, so the search
-/// never re-transforms an input it has already prepared. Results are
-/// bit-identical with or without a context.
+/// [`explore_loop_orders`] configured by an [`ExploreConfig`] (its
+/// `objective`, `budget` as the success cap, `threads` and `limits`),
+/// with an optional shared [`EvalContext`]: candidate specs compile
+/// through the context's plan cache and every engine run shares the
+/// transform cache, so the search never re-transforms an input it has
+/// already prepared. Results are bit-identical with or without a
+/// context, and for any thread count: workers claim candidates from a
+/// shared queue, but successes count in permutation order.
 ///
 /// # Errors
 ///
-/// As [`explore_loop_orders`].
-#[allow(clippy::too_many_arguments)]
+/// As [`explore_loop_orders`], plus the structured deadline, budget or
+/// cancellation error when `config.limits` trips mid-search.
 pub fn explore_loop_orders_with_context(
     spec: &TeaalSpec,
     einsum: &str,
     inputs: &[impl Clone + Into<TensorData>],
     ops: OpTable,
-    objective: Objective,
-    max_candidates: usize,
-    threads: usize,
+    config: &ExploreConfig,
     context: Option<&Arc<EvalContext>>,
 ) -> Result<Vec<Candidate>, SimError> {
     let orders = candidate_orders(spec, einsum)?;
+    let search = Search::new(spec, einsum, ops, config, context);
     let datas = compressed_inputs(inputs)?;
     let refs: Vec<&TensorData> = datas.iter().collect();
-
-    // A candidate that fails to lower is skipped, not charged against the
-    // budget (counting failures used to starve the budget and return
-    // fewer valid mappings than exist). Spacetime entries may reference
-    // ranks by name; they stay valid because the rank *set* is unchanged.
-    let eval = |candidate: &[String]| -> Option<Candidate> {
-        let mut s = spec.clone();
-        s.mapping
-            .loop_order
-            .insert(einsum.to_string(), candidate.to_vec());
-        let sim = match context {
-            Some(ctx) => ctx.simulator(&s).ok()?,
-            None => Simulator::new(s).ok()?,
-        };
-        let report = sim.with_ops(ops).with_threads(1).run_data(&refs).ok()?;
-        Some(candidate_from(candidate.to_vec(), &report))
-    };
-
-    let mut results = evaluate_candidates(&orders, max_candidates, threads, &eval);
+    let mut results = search.verify(&orders, config.budget, config.threads, &refs)?;
     if results.is_empty() {
         return Err(SimError::Spec(teaal_core::SpecError::Validation {
             context: format!("einsum {einsum}"),
             message: "no loop-order candidate lowered and executed successfully".into(),
         }));
     }
-    sort_by_score(&mut results, objective);
+    sort_by_score(&mut results, config.objective);
     Ok(results)
 }
 
@@ -283,8 +246,8 @@ pub fn explore_loop_orders_with_context(
 ///
 /// # Errors
 ///
-/// As [`explore_loop_orders`], plus the same error when every survivor
-/// fails to execute.
+/// As [`explore_loop_orders_with_context`], plus the same error when
+/// every survivor fails to execute.
 pub fn explore_fast(
     spec: &TeaalSpec,
     einsum: &str,
@@ -315,12 +278,7 @@ pub fn explore_fast_with_context(
     context: Option<&Arc<EvalContext>>,
 ) -> Result<ExploreOutcome, SimError> {
     let orders = candidate_orders(spec, einsum)?;
-    // One token for the whole search: the deadline anchors here and
-    // every candidate (estimation or engine) charges the same budget.
-    let token = config
-        .limits
-        .is_limited()
-        .then(|| CancelToken::new(&config.limits));
+    let search = Search::new(spec, einsum, ops, config, context);
 
     // Phase 1: estimate every lowerable candidate from cached statistics.
     let datas = compressed_inputs(inputs)?;
@@ -341,26 +299,11 @@ pub fn explore_fast_with_context(
         }
         // Candidate boundary: a tripped search budget aborts between
         // estimates, never mid-way through one.
-        if let Some(t) = &token {
+        if let Some(t) = &search.token {
             t.checkpoint()?;
         }
-        let mut s = spec.clone();
-        s.mapping
-            .loop_order
-            .insert(einsum.to_string(), candidate.clone());
-        let sim = match context {
-            Some(ctx) => {
-                let Ok(sim) = ctx.simulator(&s) else {
-                    continue;
-                };
-                sim
-            }
-            None => {
-                let Ok(sim) = Simulator::new(s) else {
-                    continue;
-                };
-                sim
-            }
+        let Some(sim) = search.simulator(candidate) else {
+            continue;
         };
         estimator_evals += 1;
         let Ok(report) = estimate_data(&sim, &refs, cache) else {
@@ -385,57 +328,8 @@ pub fn explore_fast_with_context(
         .filter(|c| c.score(config.objective) <= cutoff || best == 0.0)
         .map(|c| c.loop_order.clone())
         .collect();
-
-    // A budget/deadline/cancel trip inside a candidate must abort the
-    // whole search with that structured error, not silently skip the
-    // candidate; the closure parks it here for the caller to propagate.
-    let aborted: Mutex<Option<SimError>> = Mutex::new(None);
-    let eval = |candidate: &[String]| -> Option<Candidate> {
-        if let Some(t) = &token {
-            if let Err(e) = t.checkpoint() {
-                aborted
-                    .lock()
-                    .expect("abort slot poisoned")
-                    .get_or_insert(e);
-                return None;
-            }
-        }
-        if teaal_core::failpoint::hit("explore.candidate").is_err() {
-            return None;
-        }
-        let mut s = spec.clone();
-        s.mapping
-            .loop_order
-            .insert(einsum.to_string(), candidate.to_vec());
-        let sim = match context {
-            Some(ctx) => ctx.simulator(&s).ok()?,
-            None => Simulator::new(s).ok()?,
-        };
-        let mut sim = sim.with_ops(ops).with_threads(1);
-        if let Some(t) = &token {
-            sim = sim.with_cancel(t.clone());
-        }
-        match sim.run_data(&refs) {
-            Ok(report) => Some(candidate_from(candidate.to_vec(), &report)),
-            Err(
-                e @ (SimError::DeadlineExceeded { .. }
-                | SimError::BudgetExceeded { .. }
-                | SimError::Cancelled { .. }),
-            ) => {
-                aborted
-                    .lock()
-                    .expect("abort slot poisoned")
-                    .get_or_insert(e);
-                None
-            }
-            Err(_) => None,
-        }
-    };
     let engine_evals = survivors.len();
-    let mut candidates = evaluate_candidates(&survivors, survivors.len(), config.threads, &eval);
-    if let Some(e) = aborted.into_inner().expect("abort slot poisoned") {
-        return Err(e);
-    }
+    let mut candidates = search.verify(&survivors, survivors.len(), config.threads, &refs)?;
     if candidates.is_empty() {
         return Err(SimError::Spec(teaal_core::SpecError::Validation {
             context: format!("einsum {einsum}"),
@@ -450,6 +344,113 @@ pub fn explore_fast_with_context(
         engine_evals,
         estimator_evals,
     })
+}
+
+/// What every candidate evaluation of one search shares.
+struct Search<'a> {
+    spec: &'a TeaalSpec,
+    einsum: &'a str,
+    ops: OpTable,
+    context: Option<&'a Arc<EvalContext>>,
+    /// One token for the whole search: the deadline anchors at creation
+    /// and every candidate (estimation or engine) charges the same budget.
+    token: Option<CancelToken>,
+}
+
+impl<'a> Search<'a> {
+    fn new(
+        spec: &'a TeaalSpec,
+        einsum: &'a str,
+        ops: OpTable,
+        config: &ExploreConfig,
+        context: Option<&'a Arc<EvalContext>>,
+    ) -> Self {
+        let token = config
+            .limits
+            .is_limited()
+            .then(|| CancelToken::new(&config.limits));
+        Search {
+            spec,
+            einsum,
+            ops,
+            context,
+            token,
+        }
+    }
+
+    /// The simulator for `spec` with `order` as the Einsum's loop order,
+    /// compiled through the context's plan cache when there is one;
+    /// `None` when the order fails to lower. Spacetime entries may
+    /// reference ranks by name; they stay valid because the rank *set*
+    /// is unchanged.
+    fn simulator(&self, order: &[String]) -> Option<Simulator> {
+        let mut s = self.spec.clone();
+        s.mapping
+            .loop_order
+            .insert(self.einsum.to_string(), order.to_vec());
+        match self.context {
+            Some(ctx) => ctx.simulator(&s).ok(),
+            None => Simulator::new(s).ok(),
+        }
+    }
+
+    /// Runs `orders` through the engine on `refs` until `max_successes`
+    /// succeed, across up to `threads` workers — the verification both
+    /// searches share. A candidate that fails to lower or execute is
+    /// skipped, not charged against the cap; a deadline, budget or
+    /// cancellation trip aborts the whole search with that error.
+    fn verify(
+        &self,
+        orders: &[Vec<String>],
+        max_successes: usize,
+        threads: usize,
+        refs: &[&TensorData],
+    ) -> Result<Vec<Candidate>, SimError> {
+        // The evaluation closure parks a tripped limit here for the
+        // caller to propagate, instead of silently skipping the candidate.
+        let aborted: Mutex<Option<SimError>> = Mutex::new(None);
+        let abort = |e: SimError| {
+            aborted
+                .lock()
+                .expect("abort slot poisoned")
+                .get_or_insert(e);
+        };
+        let eval = |candidate: &[String]| -> Option<Candidate> {
+            if let Some(t) = &self.token {
+                if let Err(e) = t.checkpoint() {
+                    abort(e);
+                    return None;
+                }
+            }
+            if teaal_core::failpoint::hit("explore.candidate").is_err() {
+                return None;
+            }
+            let mut sim = self
+                .simulator(candidate)?
+                .with_ops(self.ops)
+                .with_threads(1);
+            if let Some(t) = &self.token {
+                sim = sim.with_cancel(t.clone());
+            }
+            match sim.run_data(refs) {
+                Ok(report) => Some(candidate_from(candidate.to_vec(), &report)),
+                Err(
+                    e @ (SimError::DeadlineExceeded { .. }
+                    | SimError::BudgetExceeded { .. }
+                    | SimError::Cancelled { .. }),
+                ) => {
+                    abort(e);
+                    None
+                }
+                Err(_) => None,
+            }
+        };
+        let results = evaluate_candidates(orders, max_successes, threads, &eval);
+        match aborted.into_inner().expect("abort slot poisoned") {
+            Some(e) => Err(e),
+            None => Ok(results),
+        }
+    }
 }
 
 /// The mapper's inputs, compressed once on entry: every candidate then
@@ -785,14 +786,17 @@ mod tests {
             )
             .unwrap();
             for threads in [2usize, 4] {
-                let par = explore_loop_orders_with_threads(
+                let par = explore_loop_orders_with_context(
                     &partitioning_constrained_spec(),
                     "Z",
                     &inputs(),
                     OpTable::arithmetic(),
-                    Objective::Time,
-                    budget,
-                    threads,
+                    &ExploreConfig {
+                        threads,
+                        budget,
+                        ..ExploreConfig::default()
+                    },
+                    None,
                 )
                 .unwrap();
                 assert_eq!(seq.len(), par.len());
@@ -804,6 +808,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn exhaustive_search_honours_the_step_budget() {
+        let err = explore_loop_orders_with_context(
+            &base_spec(),
+            "Z",
+            &inputs(),
+            OpTable::arithmetic(),
+            &ExploreConfig {
+                limits: EvalLimits::default().with_max_engine_steps(10),
+                ..ExploreConfig::default()
+            },
+            None,
+        );
+        assert!(
+            matches!(err, Err(SimError::BudgetExceeded { .. })),
+            "a tripped step budget must abort the search: {err:?}"
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub use error::SimError;
 pub use estimate::{estimate, estimate_data, estimate_with_stats};
 pub use explore::{
     explore_fast, explore_fast_with_context, explore_loop_orders, explore_loop_orders_with_context,
-    explore_loop_orders_with_threads, Candidate, ExploreConfig, ExploreOutcome, Objective,
+    Candidate, ExploreConfig, ExploreOutcome, Objective,
 };
 pub use limits::{BudgetKind, CancelToken, EvalLimits, Progress};
 pub use model::{default_threads, Simulator};

@@ -584,17 +584,9 @@ fn run_explore(
         print_top(&out.candidates);
         println!("best: [{}]", out.candidates[0].loop_order.join(", "));
     } else {
-        let results = explore_loop_orders_with_context(
-            spec,
-            &target,
-            tensors,
-            ops,
-            explore_cfg.objective,
-            explore_cfg.budget,
-            threads,
-            Some(ctx),
-        )
-        .map_err(|e| e.to_string())?;
+        let results =
+            explore_loop_orders_with_context(spec, &target, tensors, ops, &explore_cfg, Some(ctx))
+                .map_err(|e| e.to_string())?;
         println!(
             "einsum {target}: {} candidates engine-evaluated",
             results.len()

@@ -144,23 +144,31 @@ fn batch_continues_past_a_failing_request_and_exits_partial_failure() {
 #[test]
 fn deadline_flag_returns_structured_error() {
     let spec = temp_file("deadline", SPMSPM);
-    let out = teaal(&[
-        "run",
-        spec.to_str().unwrap(),
-        "--random",
-        "A=32x32:200",
-        "--random",
-        "B=32x24:150",
-        "--deadline-ms",
-        "0",
-    ]);
+    // Both mapping searches honour the limit flags, not just `--fast`.
+    for command in [&["run"][..], &["explore"], &["explore", "--fast"]] {
+        let mut args = vec![command[0], spec.to_str().unwrap()];
+        args.extend(&command[1..]);
+        args.extend([
+            "--random",
+            "A=32x32:200",
+            "--random",
+            "B=32x24:150",
+            "--deadline-ms",
+            "0",
+        ]);
+        let out = teaal(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{command:?} must exit cleanly, not hang"
+        );
+        assert!(
+            stderr_of(&out).contains("deadline exceeded"),
+            "{command:?} stderr must carry the structured deadline error: {}",
+            stderr_of(&out)
+        );
+    }
     let _ = std::fs::remove_file(&spec);
-    assert_eq!(out.status.code(), Some(1), "must exit cleanly, not hang");
-    assert!(
-        stderr_of(&out).contains("deadline exceeded"),
-        "stderr must carry the structured deadline error: {}",
-        stderr_of(&out)
-    );
 }
 
 #[test]
