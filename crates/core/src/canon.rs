@@ -5,7 +5,8 @@
 //! keys every cached artifact by a stable content hash. This module is
 //! the root of that key scheme: a streaming FNV-1a hasher with pinned
 //! constants (the same algorithm the engine uses for output-key hashing
-//! and [`StatsCache`](teaal_fibertree::StatsCache) for fingerprints), a
+//! and [`TensorData::content_hash`](teaal_fibertree::TensorData::content_hash)
+//! for tensor content), a
 //! [`source_hash`] over raw YAML bytes (the `SpecSource → ParsedSpec`
 //! key), and a [`spec_hash`] over the *parsed* specification (the
 //! `ParsedSpec → LoweredPlan` key).

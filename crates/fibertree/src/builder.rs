@@ -10,7 +10,7 @@
 //! `from_entries`, `from_tensor`, transforms, outputs — lands on an
 //! identical representation for identical content.
 
-use crate::compressed::{key_offsets, CompressedTensor, Level};
+use crate::compressed::{key_offsets, CompressedTensor, HashMemo, Level};
 use crate::coord::{Coord, Shape};
 use crate::error::FibertreeError;
 
@@ -280,6 +280,7 @@ impl CompressedBuilder {
                 rank_shapes: self.rank_shapes,
                 levels: self.levels,
                 values: self.values,
+                content_hash: HashMemo::default(),
             };
         }
         // A rank below an empty parent has no fibers at all (mirroring
@@ -298,6 +299,7 @@ impl CompressedBuilder {
             rank_shapes: self.rank_shapes,
             levels: self.levels,
             values: self.values,
+            content_hash: HashMemo::default(),
         }
     }
 }

@@ -43,6 +43,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::builder::CompressedBuilder;
 use crate::coord::{Coord, Shape};
@@ -316,6 +317,30 @@ pub(crate) fn key_offsets(levels: &[Level]) -> Vec<usize> {
         .collect()
 }
 
+/// A compressed tensor's content hash ([`TensorData::content_hash`]),
+/// filled on first use and reused by every later lookup.
+///
+/// The memo is a cache, not content: it never takes part in equality, so
+/// a hashed tensor equals its unhashed twin. Every constructor starts it
+/// empty, and [`CompressedTensor::set_name`] clears it.
+///
+/// [`TensorData::content_hash`]: crate::TensorData::content_hash
+#[derive(Clone, Debug, Default)]
+pub(crate) struct HashMemo(OnceLock<u64>);
+
+impl HashMemo {
+    /// The memoized hash, computing it with `hash` on first call.
+    pub(crate) fn get_or_init(&self, hash: impl FnOnce() -> u64) -> u64 {
+        *self.0.get_or_init(hash)
+    }
+}
+
+impl PartialEq for HashMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// An `N`-tensor in compressed sparse fiber (CSF) form.
 ///
 /// Content-equivalent to an owned [`Tensor`] with the same entries: the
@@ -347,6 +372,7 @@ pub struct CompressedTensor {
     /// Leaf value arena: `values[p]` is the payload of bottom-rank
     /// element `p`. For a 0-tensor this holds the single scalar.
     pub(crate) values: Vec<f64>,
+    pub(crate) content_hash: HashMemo,
 }
 
 impl CompressedTensor {
@@ -480,9 +506,11 @@ impl CompressedTensor {
         &self.name
     }
 
-    /// Renames the tensor.
+    /// Renames the tensor. The name is part of the content hash, so this
+    /// drops any memoized hash.
     pub fn set_name(&mut self, name: impl Into<String>) {
         self.name = name.into();
+        self.content_hash = HashMemo::default();
     }
 
     /// The labelled ranks, top-to-bottom.

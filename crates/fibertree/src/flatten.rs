@@ -6,7 +6,7 @@
 //! (§3.2.1): flatten first, then re-partition so every partition holds the
 //! same number of values.
 
-use crate::compressed::{CompressedTensor, Level};
+use crate::compressed::{CompressedTensor, HashMemo, Level};
 use crate::coord::{Coord, Shape};
 use crate::error::FibertreeError;
 use crate::fiber::{Fiber, Payload};
@@ -152,6 +152,7 @@ impl CompressedTensor {
             rank_shapes: shapes,
             levels,
             values: self.values.clone(),
+            content_hash: HashMemo::default(),
         })
     }
 }

@@ -8,7 +8,7 @@
 //! same number of elements, using a leader tensor's boundaries so that
 //! co-iterated followers stay aligned.
 
-use crate::compressed::{CompressedTensor, Level};
+use crate::compressed::{CompressedTensor, HashMemo, Level};
 use crate::coord::{Coord, Shape};
 use crate::error::FibertreeError;
 use crate::fiber::{Fiber, Payload};
@@ -368,6 +368,7 @@ impl CompressedTensor {
             rank_shapes: shapes,
             levels,
             values: self.values.clone(),
+            content_hash: HashMemo::default(),
         })
     }
 

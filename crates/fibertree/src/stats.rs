@@ -9,7 +9,7 @@
 //! work and traffic without touching values.
 //!
 //! Statistics are cheap relative to simulation but still O(nnz), so a
-//! [`StatsCache`] memoizes them per tensor fingerprint: compute once,
+//! [`StatsCache`] memoizes them per tensor content hash: compute once,
 //! share across the thousands of mapping candidates a search evaluates.
 
 use std::collections::{HashMap, HashSet};
@@ -289,14 +289,15 @@ impl TensorData {
     }
 }
 
-/// Memoizing store of [`TensorStats`], keyed by a cheap structural
-/// fingerprint of the tensor (name, rank ids, extents, nnz).
+/// Memoizing store of [`TensorStats`], keyed by the tensor's
+/// [`TensorData::content_hash`].
 ///
-/// The fingerprint deliberately avoids hashing coordinates or values, so
-/// two *different* tensors that agree on name, rank layout, and nonzero
-/// count would collide and share one entry. Within a mapping search —
-/// where the same named inputs are re-estimated across thousands of
-/// candidate loop orders — that cannot happen, and lookups stay O(ranks).
+/// The key covers coordinates and values, so tensors that agree on name,
+/// rank layout and nonzero count but differ in content get their own
+/// entries. A compressed tensor memoizes its hash, so repeat lookups (a
+/// mapping search re-estimating the same inputs across thousands of
+/// candidate loop orders) cost O(1); an owned tensor is re-hashed in
+/// O(nnz) per lookup.
 #[derive(Default)]
 pub struct StatsCache {
     inner: Mutex<HashMap<u64, Arc<TensorStats>>>,
@@ -309,9 +310,9 @@ impl StatsCache {
     }
 
     /// Returns the cached statistics for `data`, computing and storing
-    /// them on first sight of its fingerprint.
+    /// them on first sight of its content.
     pub fn get_or_compute(&self, data: &TensorData) -> Arc<TensorStats> {
-        let key = Self::fingerprint(data);
+        let key = data.content_hash();
         if let Some(hit) = self.inner.lock().unwrap().get(&key) {
             return Arc::clone(hit);
         }
@@ -332,25 +333,6 @@ impl StatsCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The structural fingerprint used as cache key: FNV-1a over the
-    /// tensor's name, rank ids, extents, and nonzero count.
-    pub fn fingerprint(data: &TensorData) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(data.name().as_bytes());
-        for (rid, shape) in data.rank_ids().iter().zip(data.rank_shapes()) {
-            eat(rid.as_bytes());
-            eat(&shape.extent().to_le_bytes());
-        }
-        eat(&(data.nnz() as u64).to_le_bytes());
-        h
     }
 }
 
@@ -419,6 +401,31 @@ mod tests {
         let b = cache.get_or_compute(&data);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn cache_separates_same_layout_tensors_by_content() {
+        // Same name, ranks, extents and nnz; different sparsity patterns.
+        let matrix = |points: [(u64, u64); 3]| {
+            let entries = points.iter().map(|&(k, m)| (vec![k, m], 1.0)).collect();
+            TensorData::Compressed(
+                crate::compressed::CompressedTensor::from_entries(
+                    "A",
+                    &["K", "M"],
+                    &[4, 4],
+                    entries,
+                )
+                .expect("in shape"),
+            )
+        };
+        let diagonal = matrix([(0, 0), (1, 1), (2, 2)]);
+        let row = matrix([(0, 0), (0, 1), (0, 2)]);
+        let cache = StatsCache::new();
+        let (d, r) = (cache.get_or_compute(&diagonal), cache.get_or_compute(&row));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(*d, TensorStats::compute(&diagonal));
+        assert_eq!(*r, TensorStats::compute(&row));
+        assert_ne!(d, r);
     }
 
     #[test]

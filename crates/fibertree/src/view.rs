@@ -451,10 +451,23 @@ impl TensorData {
     ///
     /// The hash is representation-independent — an owned tensor and its
     /// compressed form hash equally — so it can key shared caches (the
-    /// `PreparedInputs` stage of the evaluation pipeline) no matter which
-    /// storage a tensor arrived in. Costs one full [`TensorData::leaves`]
-    /// walk; hash once and reuse the key.
+    /// report, transform and statistics caches) no matter which storage
+    /// a tensor arrived in.
+    ///
+    /// A compressed tensor memoizes its hash: the first call costs one
+    /// full [`TensorData::leaves`] walk, every later call on the same
+    /// tensor (or a clone of it) is O(1). An owned tensor is mutable, so
+    /// it is walked on every call.
     pub fn content_hash(&self) -> u64 {
+        match self {
+            TensorData::Owned(_) => self.walk_content_hash(),
+            TensorData::Compressed(c) => c.content_hash.get_or_init(|| self.walk_content_hash()),
+        }
+    }
+
+    /// The one definition of [`TensorData::content_hash`]: FNV-1a over
+    /// the `tensor-content-v1` byte stream.
+    fn walk_content_hash(&self) -> u64 {
         fn absorb(state: &mut u64, bytes: &[u8]) {
             for &b in bytes {
                 *state ^= u64::from(b);
@@ -562,6 +575,7 @@ impl From<CompressedTensor> for TensorData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::SplitKind;
     use crate::tensor::fig1_matrix_a;
 
     fn both_views() -> (TensorData, TensorData) {
@@ -683,6 +697,104 @@ mod tests {
         assert_eq!(o.content_hash(), c.content_hash());
         // And deterministic across calls.
         assert_eq!(o.content_hash(), o.content_hash());
+    }
+
+    /// A compressed tensor with its content-hash memo filled.
+    fn hashed(c: CompressedTensor) -> TensorData {
+        let data = TensorData::Compressed(c);
+        data.content_hash();
+        data
+    }
+
+    fn csf(data: &TensorData) -> &CompressedTensor {
+        match data {
+            TensorData::Compressed(c) => c,
+            TensorData::Owned(_) => unreachable!("built compressed"),
+        }
+    }
+
+    /// A 3-tensor with every rank holding several coordinates.
+    fn cube(name: &str) -> CompressedTensor {
+        let entries = (0..27u64)
+            .step_by(4)
+            .map(|i| (vec![i / 9, (i / 3) % 3, i % 3], i as f64 + 0.5))
+            .collect();
+        CompressedTensor::from_entries(name, &["A", "B", "C"], &[3, 3, 3], entries).unwrap()
+    }
+
+    #[test]
+    fn hash_memo_takes_no_part_in_equality() {
+        let (_, c) = both_views();
+        let unhashed = c.clone();
+        c.content_hash();
+        assert_eq!(c, unhashed);
+        assert_eq!(csf(&c), csf(&unhashed));
+    }
+
+    #[test]
+    fn set_name_drops_the_memoized_hash() {
+        let mut renamed = csf(&hashed(cube("T"))).clone();
+        renamed.set_name("U");
+        assert_eq!(
+            TensorData::Compressed(renamed).content_hash(),
+            TensorData::Compressed(cube("U")).content_hash()
+        );
+    }
+
+    #[test]
+    fn rebuilt_tensors_carry_no_memoized_hash() {
+        let source = hashed(cube("T"));
+        let src = csf(&source);
+        let transposed = cube("T")
+            .entries()
+            .into_iter()
+            .map(|(p, v)| (vec![p[2], p[0], p[1]], v))
+            .collect();
+        let swizzle_twin =
+            CompressedTensor::from_entries("T", &["C", "A", "B"], &[3, 3, 3], transposed).unwrap();
+        let split = |c: &CompressedTensor| {
+            c.partition_rank("B", SplitKind::UniformShape(2), "B1", "B0")
+                .unwrap()
+        };
+        let flat = |c: &CompressedTensor| c.flatten_rank("A", "AB").unwrap();
+        let pairs = [
+            (src.swizzle(&["C", "A", "B"]).unwrap(), swizzle_twin),
+            (split(src), split(&cube("T"))),
+            (flat(src), flat(&cube("T"))),
+        ];
+        for (out, twin) in pairs {
+            let (out, twin) = (TensorData::Compressed(out), TensorData::Compressed(twin));
+            assert_eq!(out.content_hash(), twin.content_hash());
+            assert_ne!(out.content_hash(), source.content_hash());
+        }
+    }
+
+    #[test]
+    fn content_hash_golden_value() {
+        // Pins the `tensor-content-v1` key format: report-, transform-
+        // and statistics-cache keys are all derived from this hash.
+        const GOLDEN: u64 = 8_877_461_766_953_318_293;
+        let c = CompressedTensor::from_entries(
+            "G",
+            &["I", "J"],
+            &[4, 4],
+            vec![(vec![0, 1], 2.0), (vec![3, 2], -1.5)],
+        )
+        .unwrap();
+        let owned = TensorData::Owned(
+            Tensor::from_entries(
+                "G",
+                &["I", "J"],
+                &[4, 4],
+                vec![(vec![0, 1], 2.0), (vec![3, 2], -1.5)],
+            )
+            .unwrap(),
+        );
+        let compressed = TensorData::Compressed(c);
+        assert_eq!(owned.content_hash(), GOLDEN);
+        assert_eq!(compressed.content_hash(), GOLDEN);
+        // Memoized, the value holds.
+        assert_eq!(compressed.content_hash(), GOLDEN);
     }
 
     #[test]

@@ -251,9 +251,10 @@ impl Simulator {
     ///
     /// The cache key deliberately excludes the thread count — parallel
     /// execution is pinned bit-identical to sequential, so any `n` may
-    /// serve any other's report. Keying hashes every input's content
-    /// (one O(nnz) walk per input per call), so this entry point is for
-    /// request-level reuse (`teaal batch`, services), not inner loops.
+    /// serve any other's report. Keying reads every input's
+    /// [`TensorData::content_hash`]: a compressed input is walked once,
+    /// on its first use, and O(1) per call after that; an owned input is
+    /// walked in O(nnz) on every call.
     ///
     /// # Errors
     ///

@@ -10,7 +10,9 @@
 //!   sequentially and with `--threads 4`;
 //! - a warm-cache `explore_fast` on Gamma performs **zero** redundant
 //!   input transforms (per-instance transform-cache counters);
-//! - compiled plans and reports are shared as `Arc`s, not recomputed.
+//! - compiled plans and reports are shared as `Arc`s, not recomputed;
+//! - a renamed or edited compressed input misses the report cache (its
+//!   memoized content hash never goes stale).
 
 use std::collections::BTreeMap;
 
@@ -118,6 +120,70 @@ fn report_cache_returns_the_same_arc_for_identical_requests() {
             !std::sync::Arc::ptr_eq(&first, &other),
             "{label}: changing the op table must miss the report cache"
         );
+    }
+}
+
+#[test]
+fn renamed_or_edited_compressed_inputs_miss_the_report_cache() {
+    let a = genmat::uniform_compressed("A", &["K", "M"], 48, 48, 320, 14);
+    let b = TensorData::Compressed(genmat::uniform_compressed(
+        "B",
+        &["K", "N"],
+        48,
+        40,
+        280,
+        15,
+    ));
+    // A different [K, M] matrix whose content hash is memoized under its
+    // old name before it is renamed into A's slot.
+    let old_name = TensorData::Compressed(genmat::uniform_compressed(
+        "A2",
+        &["K", "M"],
+        48,
+        48,
+        320,
+        16,
+    ));
+    old_name.content_hash();
+    let TensorData::Compressed(mut renamed) = old_name else {
+        unreachable!("built compressed")
+    };
+    renamed.set_name("A");
+    // A's dataset with one value changed.
+    let mut entries = a.entries();
+    entries[0].1 += 1.0;
+    let edited =
+        teaal_fibertree::CompressedTensor::from_entries("A", &["K", "M"], &[48, 48], entries)
+            .unwrap();
+    let a = TensorData::Compressed(a);
+
+    for (label, yaml) in teaal_fixtures::spmspm_specs() {
+        let spec = TeaalSpec::parse(yaml).unwrap();
+        let ctx = EvalContext::new();
+        let sim = ctx.simulator(&spec).unwrap();
+        let first = sim.run_data_cached(&[&a, &b]).unwrap();
+        for (case, variant) in [("renamed", &renamed), ("edited", &edited)] {
+            let variant = TensorData::Compressed(variant.clone());
+            let ins = [&variant, &b];
+            let got = sim.run_data_cached(&ins).unwrap();
+            assert!(
+                !std::sync::Arc::ptr_eq(&first, &got),
+                "{label} ({case}): a changed input must miss the report cache"
+            );
+            let want = Simulator::new(spec.clone())
+                .unwrap()
+                .run_data(&ins)
+                .unwrap();
+            assert_eq!(
+                fingerprint(&got),
+                fingerprint(&want),
+                "{label} ({case}): cached report differs from uncached"
+            );
+            assert!(
+                std::sync::Arc::ptr_eq(&got, &sim.run_data_cached(&ins).unwrap()),
+                "{label} ({case}): a repeated request must hit its own entry"
+            );
+        }
     }
 }
 
