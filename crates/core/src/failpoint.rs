@@ -14,7 +14,7 @@
 //! TEAAL_FAILPOINTS='transform.swizzle:panic@2;io.read:err@1;engine.step:sleep(50)'
 //! ```
 //!
-//! - `panic` — panic at the site (exercises `catch_unwind` isolation).
+//! - `panic` — panic at the site (exercises panic isolation).
 //! - `err` — the site returns an injected error ([`FailAction::Err`]).
 //! - `sleep(MS)` — block for `MS` milliseconds (exercises deadlines).
 //! - `drop` — sever the transport mid-operation ([`FailAction::Drop`]).

@@ -25,8 +25,8 @@
 //!
 //! # Bounded residency
 //!
-//! Long-running processes (batch evaluation, the future `teaal serve`
-//! daemon) cannot let content-addressed caches grow without bound. The
+//! Long-running processes (batch evaluation, the `teaal serve` daemon)
+//! cannot let content-addressed caches grow without bound. The
 //! generic [`ByteLru`] store underneath [`TransformCache`] byte-accounts
 //! every resident artifact and evicts least-recently-used entries once a
 //! configured capacity is exceeded ([`TransformCache::set_capacity_bytes`]).

@@ -33,9 +33,10 @@ use teaal_fibertree::{
 };
 
 use crate::counters::{Instruments, MergeGroup};
-use crate::error::{panic_message, SimError};
+use crate::error::SimError;
 use crate::limits::CancelToken;
 use crate::ops::OpTable;
+use crate::par;
 
 /// Boundary lists published by occupancy-partition leaders, keyed by
 /// `(rank, leader tensor)`.
@@ -186,11 +187,12 @@ impl<'p> Engine<'p> {
     /// Sets the worker count for shard-parallel execution (default 1).
     ///
     /// With `n > 1`, eligible plans partition their top loop rank into up
-    /// to `n` coordinate ranges executed on scoped threads and merged
-    /// deterministically — instruments and outputs are bit-identical to
-    /// the sequential run (pinned by the `parallel_sharding` suite).
-    /// Plans the shard-exactness analysis cannot prove simply run
-    /// sequentially; `n` is a cap, never a requirement.
+    /// to `n` coordinate ranges executed by [`par::fan_out`] workers and
+    /// merged deterministically — instruments and outputs are
+    /// bit-identical to the sequential run (pinned by the
+    /// `parallel_sharding` suite). Plans the shard-exactness analysis
+    /// cannot prove simply run sequentially; `n` is a cap, never a
+    /// requirement.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -310,7 +312,7 @@ impl<'p> Engine<'p> {
 
         // 3. Walk the nest — shard-parallel when the exactness analysis
         // allows it, sequentially otherwise. A panicking shard worker is
-        // isolated (`catch_unwind`), the partially-absorbed instruments
+        // isolated by the fan-out, the partially-absorbed instruments
         // are rolled back to this pre-shard snapshot, and the plan is
         // retried once sequentially — degradation, not failure.
         let concordant = self.output_concordant();
@@ -571,9 +573,9 @@ impl<'p> Engine<'p> {
         })
     }
 
-    /// Runs the planned shards on scoped threads and merges their
-    /// instruments and outputs deterministically, in shard (coordinate)
-    /// order.
+    /// Runs the planned shards, one [`par::fan_out`] worker each, and
+    /// merges their instruments and outputs deterministically, in shard
+    /// (coordinate) order.
     fn execute_sharded(
         &self,
         exec: &Exec<'_, 'p>,
@@ -584,80 +586,51 @@ impl<'p> Engine<'p> {
         let stream_out = shard_plan.stream_out;
         let is_take = exec.take_which.is_some();
         let record_first_space = !shard_plan.disjoint && !is_take;
-        let forks: Vec<Instruments> = shard_plan
-            .ranges
-            .iter()
-            .map(|_| {
-                instruments
-                    .fork_shard(|name, _| shard_plan.log_fills.get(name).copied().unwrap_or(false))
-            })
-            .collect();
+        let base: &Instruments = instruments;
 
         type ShardOut = (OutAcc, BTreeMap<Vec<u64>, Vec<u64>>, Instruments);
-        let worker_out: Vec<Result<ShardOut, SimError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shard_plan
-                .ranges
-                .iter()
-                .zip(forks)
-                .map(|(&(lo, hi), mut si)| {
-                    scope.spawn(move || {
-                        // Panic isolation: a panicking shard must not tear
-                        // down the evaluation — it converts to a structured
-                        // error and the caller retries sequentially.
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            move || -> Result<ShardOut, SimError> {
-                                if let Err(m) = teaal_core::failpoint::hit("engine.shard") {
-                                    return Err(SimError::Fibertree(m));
-                                }
-                                let shard_exec = Exec {
-                                    top_bounds: Some((lo, hi)),
-                                    record_first_space,
-                                    ..exec.clone()
-                                };
-                                let mut st = State {
-                                    nodes: shard_exec
-                                        .access_tensor
-                                        .iter()
-                                        .map(|&ti| Some(tensors[ti].data().root_view()))
-                                        .collect(),
-                                    binds: Vec::new(),
-                                    space: Vec::new(),
-                                    out: if stream_out {
-                                        OutAcc::Stream {
-                                            builder: self
-                                                .output_builder(&self.plan.output.target_order)?,
-                                            pending: None,
-                                        }
-                                    } else {
-                                        OutAcc::Map(BTreeMap::new())
-                                    },
-                                    first_space: BTreeMap::new(),
-                                };
-                                shard_exec.level(0, &mut st, &mut si)?;
-                                Ok((st.out, st.first_space, si))
-                            },
-                        ))
-                        .unwrap_or_else(|payload| {
-                            Err(SimError::WorkerPanic {
-                                site: "shard".into(),
-                                message: panic_message(&payload),
-                            })
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        Err(SimError::WorkerPanic {
-                            site: "shard".into(),
-                            message: panic_message(&payload),
-                        })
-                    })
-                })
-                .collect()
-        });
+        let run_shard = |i: usize| -> Result<ShardOut, SimError> {
+            if let Err(m) = teaal_core::failpoint::hit("engine.shard") {
+                return Err(SimError::Fibertree(m));
+            }
+            let mut si =
+                base.fork_shard(|name, _| shard_plan.log_fills.get(name).copied().unwrap_or(false));
+            let shard_exec = Exec {
+                top_bounds: Some(shard_plan.ranges[i]),
+                record_first_space,
+                ..exec.clone()
+            };
+            let mut st = State {
+                nodes: shard_exec
+                    .access_tensor
+                    .iter()
+                    .map(|&ti| Some(tensors[ti].data().root_view()))
+                    .collect(),
+                binds: Vec::new(),
+                space: Vec::new(),
+                out: if stream_out {
+                    OutAcc::Stream {
+                        builder: self.output_builder(&self.plan.output.target_order)?,
+                        pending: None,
+                    }
+                } else {
+                    OutAcc::Map(BTreeMap::new())
+                },
+                first_space: BTreeMap::new(),
+            };
+            shard_exec.level(0, &mut st, &mut si)?;
+            Ok((st.out, st.first_space, si))
+        };
+        // One worker per shard. A panicking shard comes back as
+        // `WorkerPanic`, which the caller answers with a sequential retry.
+        let worker_out = par::fan_out(
+            shard_plan.ranges.len(),
+            shard_plan.ranges.len(),
+            run_shard,
+            |_| false,
+        )
+        .into_iter()
+        .map(|r| SimError::from_item("shard", r));
 
         // Merge, strictly in shard order.
         let top = &self.plan.loop_ranks[0];

@@ -74,9 +74,9 @@ pub enum SimError {
         /// The component whose time is NaN or infinite.
         component: String,
     },
-    /// A worker thread panicked; the panic was isolated with
-    /// `catch_unwind` and converted to this structured error instead of
-    /// tearing down the process.
+    /// A worker panicked; the panic was isolated by the fan-out
+    /// ([`crate::par`]) and converted to this structured error instead
+    /// of tearing down the process.
     WorkerPanic {
         /// Which fan-out the worker belonged to (e.g. `"shard"`,
         /// `"wave"`).
@@ -84,6 +84,22 @@ pub enum SimError {
         /// The panic payload, when it was a string.
         message: String,
     },
+}
+
+impl SimError {
+    /// Folds one [`crate::par::fan_out`] item into a plain result, a
+    /// caught panic becoming [`SimError::WorkerPanic`] at `site`.
+    pub(crate) fn from_item<T>(
+        site: &str,
+        item: Result<Result<T, SimError>, String>,
+    ) -> Result<T, SimError> {
+        item.unwrap_or_else(|message| {
+            Err(SimError::WorkerPanic {
+                site: site.into(),
+                message,
+            })
+        })
+    }
 }
 
 impl fmt::Display for SimError {
@@ -153,18 +169,6 @@ impl std::error::Error for SimError {
 impl From<teaal_core::SpecError> for SimError {
     fn from(e: teaal_core::SpecError) -> Self {
         SimError::Spec(e)
-    }
-}
-
-/// Renders a `catch_unwind` payload as text: panics carry `&str` or
-/// `String` messages in practice; anything else gets a placeholder.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -27,8 +27,7 @@
 //! budget bounds either search and trips it with the structured error.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use teaal_core::TeaalSpec;
 use teaal_fibertree::stats::StatsCache;
@@ -39,6 +38,7 @@ use crate::estimate::estimate_data;
 use crate::limits::{CancelToken, EvalLimits};
 use crate::model::Simulator;
 use crate::ops::OpTable;
+use crate::par;
 use crate::pipeline::EvalContext;
 use crate::report::SimReport;
 
@@ -396,9 +396,12 @@ impl<'a> Search<'a> {
 
     /// Runs `orders` through the engine on `refs` until `max_successes`
     /// succeed, across up to `threads` workers — the verification both
-    /// searches share. A candidate that fails to lower or execute is
-    /// skipped, not charged against the cap; a deadline, budget or
-    /// cancellation trip aborts the whole search with that error.
+    /// searches share. The candidates fan out through
+    /// [`par::fan_out`], whose ordered early stop makes the result the
+    /// sequential one for any thread count. A candidate that fails to
+    /// lower, execute or panics is skipped, not charged against the
+    /// cap; a deadline, budget or cancellation trip aborts the whole
+    /// search with that error.
     fn verify(
         &self,
         orders: &[Vec<String>],
@@ -445,7 +448,21 @@ impl<'a> Search<'a> {
                 Err(_) => None,
             }
         };
-        let results = evaluate_candidates(orders, max_successes, threads, &eval);
+        let mut successes = 0;
+        let results: Vec<Candidate> = par::fan_out(
+            orders.len(),
+            threads,
+            |i| eval(&orders[i]),
+            |r| {
+                matches!(r, Ok(Some(_))) && {
+                    successes += 1;
+                    successes >= max_successes
+                }
+            },
+        )
+        .into_iter()
+        .filter_map(|r| r.ok().flatten())
+        .collect();
         match aborted.into_inner().expect("abort slot poisoned") {
             Some(e) => Err(e),
             None => Ok(results),
@@ -500,105 +517,6 @@ fn sort_by_score(results: &mut [Candidate], objective: Objective) {
             .total_cmp(&b.score(objective))
             .then_with(|| a.loop_order.cmp(&b.loop_order))
     });
-}
-
-/// Evaluates `orders` in index order until `max_successes` candidates
-/// succeed, fanning the work across up to `threads` workers that claim
-/// candidates from a shared atomic queue (work stealing — no static
-/// chunking, so one slow candidate never idles the other workers).
-///
-/// Deterministic for any thread count: results are collected in index
-/// order, and early stopping triggers only when the *contiguous
-/// completed prefix* already contains `max_successes` successes — exactly
-/// the sequential stopping point. Work claimed past that point is wasted,
-/// never observed.
-fn evaluate_candidates(
-    orders: &[Vec<String>],
-    max_successes: usize,
-    threads: usize,
-    eval: &(impl Fn(&[String]) -> Option<Candidate> + Sync),
-) -> Vec<Candidate> {
-    let threads = threads.max(1).min(orders.len().max(1));
-    let slots: Vec<OnceLock<Option<Candidate>>> =
-        (0..orders.len()).map(|_| OnceLock::new()).collect();
-    // Panic isolation: a candidate whose evaluation panics is skipped
-    // (slot = None) instead of tearing down the search or poisoning the
-    // worker pool.
-    let eval_isolated = |order: &[String]| -> Option<Candidate> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eval(order))).unwrap_or(None)
-    };
-
-    if threads <= 1 {
-        let mut results = Vec::new();
-        for (i, order) in orders.iter().enumerate() {
-            let _ = slots[i].set(eval_isolated(order));
-            if let Some(Some(c)) = slots[i].get() {
-                results.push(c.clone());
-                if results.len() >= max_successes {
-                    break;
-                }
-            }
-        }
-        return results;
-    }
-
-    // Watermark = length of the contiguous prefix of evaluated slots;
-    // successes counts within that prefix only.
-    struct Progress {
-        watermark: usize,
-        successes: usize,
-    }
-    let progress = Mutex::new(Progress {
-        watermark: 0,
-        successes: 0,
-    });
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= orders.len() {
-                    break;
-                }
-                let result = eval_isolated(&orders[i]);
-                let _ = slots[i].set(result);
-                let mut p = progress.lock().expect("explore progress poisoned");
-                while p.watermark < orders.len() {
-                    let Some(done) = slots[p.watermark].get() else {
-                        break;
-                    };
-                    if done.is_some() {
-                        p.successes += 1;
-                    }
-                    p.watermark += 1;
-                    if p.successes >= max_successes {
-                        stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            });
-        }
-    });
-
-    // Collect in index order — identical to the sequential walk.
-    let mut results = Vec::new();
-    for slot in &slots {
-        let Some(done) = slot.get() else {
-            break;
-        };
-        if let Some(c) = done {
-            results.push(c.clone());
-            if results.len() >= max_successes {
-                break;
-            }
-        }
-    }
-    results
 }
 
 /// Heap's algorithm, calling `visit` for every permutation of `items`.

@@ -29,9 +29,10 @@ use crate::compile::CompiledPlan;
 use crate::counters::Instruments;
 use crate::energy::{ActionCounts, EnergyTable};
 use crate::engine::{BoundaryCache, Engine};
-use crate::error::{panic_message, SimError};
+use crate::error::SimError;
 use crate::limits::{CancelToken, EvalLimits};
 use crate::ops::OpTable;
+use crate::par;
 use crate::pipeline::EvalContext;
 use crate::report::{passes_for, BlockStats, EinsumStats, SimReport, TensorTraffic};
 
@@ -167,12 +168,12 @@ impl Simulator {
     /// Sets the worker cap for parallel execution (default:
     /// [`default_threads`]).
     ///
-    /// With `n > 1`, independent Einsums of a cascade run concurrently
-    /// and each eligible Einsum shards its top loop rank across up to `n`
-    /// scoped threads ([`Engine::with_threads`]). Reports stay
-    /// bit-identical to `n = 1` — the merge is deterministic and the
-    /// shard-exactness analysis falls back to sequential execution
-    /// whenever it cannot prove equality.
+    /// With `n > 1`, independent Einsums of a cascade run on up to `n`
+    /// workers and each eligible Einsum shards its top loop rank into up
+    /// to `n` ranges ([`Engine::with_threads`]), both through
+    /// [`par::fan_out`]. Reports stay bit-identical to `n = 1` — the
+    /// merge is deterministic and the shard-exactness analysis falls
+    /// back to sequential execution whenever it cannot prove equality.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -348,11 +349,12 @@ impl Simulator {
 
         // Execute the cascade in dependency waves: every Einsum whose
         // producers (data, write-after-write, and learned-extent
-        // dependencies) have completed runs concurrently with the rest of
-        // its wave. Each Einsum sees exactly the environment and extents
-        // its sequential position would — outputs and learned extents of
-        // plans *before* it, in plan order — so reports are bit-identical
-        // to the sequential schedule.
+        // dependencies) have completed runs alongside the rest of its
+        // wave, on at most `threads` workers. Each Einsum sees exactly
+        // the environment and extents its sequential position would —
+        // outputs and learned extents of plans *before* it, in plan
+        // order — so reports are bit-identical to the sequential
+        // schedule.
         let n = plans.len();
         let deps = self.plan_dependencies(&base_extents);
         let mut outputs: Vec<Option<TensorData>> = (0..n).map(|_| None).collect();
@@ -405,45 +407,16 @@ impl Simulator {
                 Ok((instruments, out))
             };
 
-            let results: Vec<Result<(Instruments, TensorData), SimError>> = if self.threads > 1
-                && wave.len() > 1
-            {
-                std::thread::scope(|s| {
-                    let run_one = &run_one;
-                    let handles: Vec<_> = wave
-                        .iter()
-                        .map(|&i| {
-                            s.spawn(move || {
-                                // Panic isolation: a panicking wave
-                                // worker becomes a structured error
-                                // instead of tearing down the run.
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    run_one(i)
-                                }))
-                                .unwrap_or_else(|payload| {
-                                    Err(SimError::WorkerPanic {
-                                        site: "wave".into(),
-                                        message: panic_message(&payload),
-                                    })
-                                })
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|payload| {
-                                Err(SimError::WorkerPanic {
-                                    site: "wave".into(),
-                                    message: panic_message(&payload),
-                                })
-                            })
-                        })
-                        .collect()
-                })
-            } else {
-                wave.iter().map(|&i| run_one(i)).collect()
-            };
+            // A panicking Einsum becomes `WorkerPanic` at any thread
+            // count; the first failure in plan order ends the wave.
+            let results = par::fan_out(
+                wave.len(),
+                self.threads,
+                |w| run_one(wave[w]),
+                |r| !matches!(r, Ok(Ok(_))),
+            )
+            .into_iter()
+            .map(|r| SimError::from_item("wave", r));
 
             for (&i, res) in wave.iter().zip(results) {
                 let (instruments, output) = res?;

@@ -5,8 +5,8 @@
 //! exercised here through the deterministic failpoint harness
 //! (`teaal_core::failpoint`) and the [`EvalLimits`] budget machinery:
 //!
-//! - an injected shard-worker panic is isolated with `catch_unwind`,
-//!   converted to a structured error, and the plan retries sequentially —
+//! - an injected shard-worker panic is isolated by the fan-out
+//!   (`teaal_sim::par`), converted to a structured error, and the plan retries sequentially —
 //!   producing a report **bit-identical** to an uninjected sequential run
 //!   (the degradation is visible in telemetry, not in results);
 //! - deadline / step-budget / output-budget trips return structured
@@ -16,13 +16,15 @@
 //!   after evictions is bit-identical to a cold one;
 //! - cancellation at an arbitrary point never corrupts the shared
 //!   caches (property-tested over random budgets);
+//! - a panicking cascade Einsum becomes `WorkerPanic { site: "wave" }`
+//!   and a panicking mapper candidate is skipped, at any thread count;
 //! - previously-panicking user inputs (NaN modelled time from a
 //!   zero-bandwidth architecture; a panicking worker aborting the
 //!   process) now surface as structured [`SimError`]s.
 //!
-//! Failpoint configuration is process-global, so every test that touches
-//! it serializes behind one mutex and restores the empty config before
-//! releasing it.
+//! Failpoint configuration is process-global and every evaluation passes
+//! its sites, so every test serializes behind one mutex; a test that
+//! installs a config restores the empty one before releasing it.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
@@ -31,11 +33,15 @@ use std::time::Duration;
 use proptest::prelude::*;
 use teaal_core::{failpoint, TeaalSpec};
 use teaal_fibertree::{telemetry, TensorData};
-use teaal_sim::{BudgetKind, CancelToken, EvalContext, EvalLimits, SimError, SimReport, Simulator};
+use teaal_sim::{
+    explore_loop_orders_with_context, BudgetKind, CancelToken, EvalContext, EvalLimits,
+    ExploreConfig, OpTable, SimError, SimReport, Simulator,
+};
 use teaal_workloads::genmat;
 
-/// Serializes tests that install failpoint configs (process-global
-/// state). Poisoning is ignored: a failed test must not cascade.
+/// Serializes the tests: one that installs a failpoint config
+/// (process-global state) must not fire it inside another's
+/// evaluation. Poisoning is ignored: a failed test must not cascade.
 static FAILPOINT_GUARD: Mutex<()> = Mutex::new(());
 
 fn lock_failpoints() -> MutexGuard<'static, ()> {
@@ -164,6 +170,58 @@ fn injected_shard_panic_only_hits_once_so_a_rerun_shards_cleanly() {
 }
 
 #[test]
+fn injected_wave_panic_is_a_structured_error_at_any_thread_count() {
+    let data = inputs(39);
+    let ins = refs(&data);
+    // Gamma is a two-Einsum cascade whose first Einsum swizzles an
+    // input, so the panic fires inside a wave worker.
+    let (_, yaml) = teaal_fixtures::spmspm_specs()[2];
+    let spec = TeaalSpec::parse(yaml).unwrap();
+    for threads in [1, 2] {
+        let _fp = FailpointSession::install("transform.swizzle:panic@1");
+        let err = Simulator::new(spec.clone())
+            .unwrap()
+            .with_threads(threads)
+            .run_data(&ins)
+            .expect_err("the injected panic must surface as an error");
+        match err {
+            SimError::WorkerPanic { site, message } => {
+                assert_eq!(site, "wave", "threads {threads}");
+                assert!(message.contains("transform.swizzle"), "{message}");
+            }
+            other => panic!("threads {threads}: expected WorkerPanic, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn panicking_mapper_candidate_is_skipped_at_any_thread_count() {
+    let data = inputs(40);
+    let spec = TeaalSpec::parse(SHARDABLE).unwrap();
+    let search = |threads: usize| {
+        let config = ExploreConfig {
+            threads,
+            ..ExploreConfig::default()
+        };
+        explore_loop_orders_with_context(&spec, "Z", &data, OpTable::arithmetic(), &config, None)
+    };
+    let all = search(1).unwrap();
+    assert!(all.len() > 1);
+    for threads in [1, 2] {
+        let _fp = FailpointSession::install("explore.candidate:panic@1");
+        let survivors = search(threads).expect("one panicking candidate must not fail the search");
+        assert_eq!(survivors.len(), all.len() - 1, "threads {threads}");
+        for c in &survivors {
+            let twin = all
+                .iter()
+                .find(|a| a.loop_order == c.loop_order)
+                .expect("survivors come from the candidate universe");
+            assert_eq!(twin.seconds.to_bits(), c.seconds.to_bits());
+        }
+    }
+}
+
+#[test]
 fn injected_transform_error_is_structured_not_a_panic() {
     let data = inputs(33);
     let ins = refs(&data);
@@ -187,6 +245,7 @@ fn injected_transform_error_is_structured_not_a_panic() {
 
 #[test]
 fn expired_deadline_returns_structured_error_with_progress() {
+    let _serial = lock_failpoints();
     let data = inputs(34);
     let ins = refs(&data);
     let spec = TeaalSpec::parse(SHARDABLE).unwrap();
@@ -206,6 +265,7 @@ fn expired_deadline_returns_structured_error_with_progress() {
 
 #[test]
 fn step_budget_trips_mid_run_with_partial_telemetry() {
+    let _serial = lock_failpoints();
     let data = inputs(35);
     let ins = refs(&data);
     let spec = TeaalSpec::parse(SHARDABLE).unwrap();
@@ -232,6 +292,7 @@ fn step_budget_trips_mid_run_with_partial_telemetry() {
 
 #[test]
 fn output_budget_trips() {
+    let _serial = lock_failpoints();
     let data = inputs(36);
     let ins = refs(&data);
     let spec = TeaalSpec::parse(SHARDABLE).unwrap();
@@ -250,6 +311,7 @@ fn output_budget_trips() {
 
 #[test]
 fn external_cancellation_returns_cancelled() {
+    let _serial = lock_failpoints();
     let data = inputs(37);
     let ins = refs(&data);
     let spec = TeaalSpec::parse(SHARDABLE).unwrap();
@@ -265,6 +327,7 @@ fn external_cancellation_returns_cancelled() {
 
 #[test]
 fn bounded_context_evicts_and_warm_runs_stay_bit_identical() {
+    let _serial = lock_failpoints();
     let data = inputs(38);
     let ins = refs(&data);
     // Small enough that the four catalog specs' transformed inputs cannot
@@ -293,6 +356,7 @@ fn bounded_context_evicts_and_warm_runs_stay_bit_identical() {
 
 #[test]
 fn nan_modelled_time_is_a_structured_error_not_a_panic() {
+    let _serial = lock_failpoints();
     // A zero-bandwidth DRAM with no bound storage traffic models
     // 0 bytes / 0 B/s = NaN seconds. The seed panicked inside the
     // bottleneck comparison (`expect("times are finite")`); now the run
@@ -343,6 +407,7 @@ proptest! {
         entries in 1u64..2_000,
         spec_idx in 0usize..4,
     ) {
+        let _serial = lock_failpoints();
         let data = inputs(40);
         let ins = refs(&data);
         let (label, yaml) = teaal_fixtures::spmspm_specs()[spec_idx];

@@ -73,8 +73,7 @@
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use teaal::fibertree::telemetry;
 use teaal::prelude::*;
@@ -602,7 +601,7 @@ fn run_explore(
 /// prints the reports strictly in request order.
 ///
 /// Failures are isolated per request: a request that errors (or panics —
-/// the evaluation is wrapped in `catch_unwind`) renders an `error:` block
+/// the evaluation is wrapped in `catching`) renders an `error:` block
 /// under its header while the rest of the batch keeps going, and the
 /// process exits with code 2 once every request has run.
 #[allow(clippy::too_many_arguments)]
@@ -640,32 +639,12 @@ fn run_batch(
     };
 
     let n = requests.len();
-    let workers = threads.max(1).min(n);
-    let rendered: Vec<Result<String, EvalFailure>> = if workers <= 1 {
-        (0..n).map(run_request).collect()
-    } else {
-        let slots: Vec<OnceLock<Result<String, EvalFailure>>> =
-            (0..n).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let _ = slots[i].set(run_request(i));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every request evaluated"))
-            .collect()
-    };
+    let rendered = teaal::sim::par::fan_out(n, threads.min(n), run_request, |_| false)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|message| Err(EvalFailure::panicked(&message))));
 
     let mut failures = 0usize;
-    for (i, out) in rendered.into_iter().enumerate() {
+    for (i, out) in rendered.enumerate() {
         let label = requests[i]
             .label
             .as_deref()

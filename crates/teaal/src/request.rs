@@ -119,6 +119,12 @@ impl EvalFailure {
         }
     }
 
+    /// The failure a panicking evaluation becomes, from the panic's
+    /// message.
+    pub fn panicked(message: &str) -> EvalFailure {
+        EvalFailure::new(ErrorCode::Panic, format!("worker panicked: {message}"))
+    }
+
     /// Prefixes the detail with request context (index, label) without
     /// touching the class.
     #[must_use]
@@ -175,21 +181,11 @@ pub fn error_block(failure: &EvalFailure) -> String {
     format!("# error: {failure}")
 }
 
-/// Runs `f` under `catch_unwind`, converting a panic into an
-/// [`ErrorCode::Panic`] failure — the one panic-isolation wrapper both
-/// batch workers and serve workers use.
+/// Runs `f` with the fan-out's panic capture ([`teaal_sim::par::catch`]),
+/// converting a panic into an [`ErrorCode::Panic`] failure — the one
+/// panic-isolation wrapper both batch workers and serve workers use.
 pub fn catching<T>(f: impl FnOnce() -> Result<T, EvalFailure>) -> Result<T, EvalFailure> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        Err(EvalFailure::new(
-            ErrorCode::Panic,
-            format!("worker panicked: {msg}"),
-        ))
-    })
+    teaal_sim::par::catch(f).unwrap_or_else(|message| Err(EvalFailure::panicked(&message)))
 }
 
 /// The per-request knobs a batch entry or a wire request may override
