@@ -10,8 +10,9 @@
 //!    per-rank inner loop of every SpMSpM), once per intersection policy
 //!    of `iterate.rs`: two-finger merge under the plain name, then
 //!    `intersect2_vectors_leader_follower` (leader lookups in the
-//!    follower) and `intersect2_vectors_skip_ahead` (galloping). Every
-//!    policy must find the two-finger match count, or the run panics,
+//!    follower) and `intersect2_vectors_skip_ahead` (the lagging side
+//!    jumps to the other head). Every policy must find the two-finger
+//!    match count, or the run panics,
 //! 3. `rowwise_cointeration` — Gustavson-style traversal: intersect the
 //!    row ranks of two matrices, then co-iterate the matching row pairs,
 //! 4. `transform_swizzle_partition` — a Gamma-style transform pipeline
@@ -20,9 +21,13 @@
 //! 5. `transform_flatten_occupancy` — the Fig. 2 / SIGMA pipeline
 //!    (flatten two ranks, occupancy-partition the fused rank): owned
 //!    tuple-coordinate rebuild vs compressed segment fusion,
-//! 6. `intersect2_vectors_skewed` — galloping (skip-ahead) co-iteration
-//!    of a tiny vector against a huge one, the regime where adaptive
-//!    doubling search beats the two-finger merge.
+//! 6. `intersect2_vectors_skewed` — skip-ahead co-iteration of a tiny
+//!    vector against a huge one, the regime where jumping the lagging
+//!    side beats the two-finger merge.
+//!
+//! Every intersection case drives the engine's one kernel,
+//! `iterate::intersect_stream`, the way the engine does: two fibers, one
+//! reused position buffer filled by `next_into`.
 //!
 //! A second, `parallel_scaling` group times full `Simulator` SpMSpM runs
 //! at 1 worker vs the host's parallelism, pinning the wall-clock cost of
@@ -42,7 +47,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use teaal_core::TeaalSpec;
-use teaal_fibertree::iterate::{intersect2_stream, IntersectPolicy};
+use teaal_fibertree::iterate::{intersect_stream, IntersectPolicy};
 use teaal_fibertree::partition::SplitKind;
 use teaal_fibertree::{CompressedTensor, FiberView, PayloadView, Tensor, TensorData};
 use teaal_sim::Simulator;
@@ -78,14 +83,30 @@ fn leaf_sum(v: FiberView<'_>) -> f64 {
     acc
 }
 
+/// Drains the intersection of two fibers into one reused position
+/// buffer, returning the match count.
+fn intersect_count(a: FiberView<'_>, b: FiberView<'_>, policy: IntersectPolicy) -> u64 {
+    let mut stream = intersect_stream(&[a, b], policy);
+    let mut positions = [None; 2];
+    let mut matches = 0;
+    while stream.next_into(&mut positions).is_some() {
+        matches += 1;
+    }
+    matches
+}
+
 /// Gustavson-style co-iteration: intersect the top ranks, then the
 /// matching child fibers, counting matches.
 fn rowwise(a: FiberView<'_>, b: FiberView<'_>) -> u64 {
     let mut matches = 0u64;
-    for (_, pa, pb) in intersect2_stream(a, b, IntersectPolicy::TwoFinger) {
-        let (ca, cb) = (a.payload_at(pa), b.payload_at(pb));
-        if let (Some(fa), Some(fb)) = (ca.as_fiber(), cb.as_fiber()) {
-            matches += intersect2_stream(fa, fb, IntersectPolicy::TwoFinger).count() as u64;
+    let mut rows = intersect_stream(&[a, b], IntersectPolicy::TwoFinger);
+    let mut positions = [None; 2];
+    while rows.next_into(&mut positions).is_some() {
+        let [Some(pa), Some(pb)] = positions else {
+            unreachable!("an intersection match holds every position");
+        };
+        if let (Some(fa), Some(fb)) = (a.payload_at(pa).as_fiber(), b.payload_at(pb).as_fiber()) {
+            matches += intersect_count(fa, fb, IntersectPolicy::TwoFinger);
         }
     }
     matches
@@ -166,9 +187,7 @@ fn main() {
                 .as_fiber()
                 .unwrap()
         }
-        let drain = |a: FiberView<'_>, b: FiberView<'_>, policy: IntersectPolicy| {
-            intersect2_stream(a, b, policy).count()
-        };
+        let drain = intersect_count;
         let matches = drain(fiber(&ca), fiber(&cb), IntersectPolicy::TwoFinger);
         for (case, policy) in [
             ("intersect2_vectors", IntersectPolicy::TwoFinger),
@@ -292,9 +311,9 @@ fn main() {
         });
     }
 
-    // Case 6: skewed-size intersection under the galloping policy — the
-    // small operand leads, and skip-ahead doubling search hops over the
-    // large operand's runs instead of scanning them.
+    // Case 6: skewed-size intersection under skip-ahead — the small
+    // operand leads, and the large operand jumps over its runs instead
+    // of scanning them.
     {
         let small_nnz = if quick { 400 } else { 2_000usize };
         let oa = TensorData::Owned(genmat::uniform("A", &["M", "K"], 1, vec_dim, small_nnz, 8));
@@ -322,9 +341,7 @@ fn main() {
                 .as_fiber()
                 .unwrap()
         }
-        let drain = |a: FiberView<'_>, b: FiberView<'_>| {
-            intersect2_stream(a, b, IntersectPolicy::SkipAhead).count()
-        };
+        let drain = |a, b| intersect_count(a, b, IntersectPolicy::SkipAhead);
         let owned_ns = time_min(reps, || drain(fiber(&oa), fiber(&ob)));
         let compressed_ns = time_min(reps, || drain(fiber(&ca), fiber(&cb)));
         results.push(CaseResult {

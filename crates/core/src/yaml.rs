@@ -111,6 +111,20 @@ impl fmt::Display for YamlError {
 
 impl std::error::Error for YamlError {}
 
+/// The deepest nesting of blocks and inline sequences a document may
+/// use. The parser recurses once per level, so an unbounded depth would
+/// let one hostile spec (say `einsum: ` and 200 000 `[`) overflow the
+/// stack and abort the process. The catalog specs nest at most 7 deep.
+pub const MAX_NESTING: usize = 64;
+
+/// The error for a value that would nest deeper than [`MAX_NESTING`].
+fn too_deep(line: usize) -> YamlError {
+    YamlError {
+        line,
+        message: format!("nesting deeper than {MAX_NESTING} levels"),
+    }
+}
+
 struct Line {
     number: usize,
     indent: usize,
@@ -122,14 +136,15 @@ struct Line {
 /// # Errors
 ///
 /// Returns a [`YamlError`] with the offending line on malformed input
-/// (tabs in indentation, inconsistent nesting, unterminated inline lists).
+/// (tabs in indentation, inconsistent nesting, unterminated inline lists,
+/// nesting deeper than [`MAX_NESTING`]).
 pub fn parse(source: &str) -> Result<Yaml, YamlError> {
     let lines = preprocess(source)?;
     if lines.is_empty() {
         return Ok(Yaml::Null);
     }
     let mut pos = 0usize;
-    let root = parse_block(&lines, &mut pos, lines[0].indent)?;
+    let root = parse_block(&lines, &mut pos, lines[0].indent, 0)?;
     if pos < lines.len() {
         return Err(YamlError {
             line: lines[pos].number,
@@ -180,16 +195,31 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn parse_block(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, YamlError> {
+/// Parses the block starting at `lines[*pos]`, `depth` levels below the
+/// document root.
+fn parse_block(
+    lines: &[Line],
+    pos: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<Yaml, YamlError> {
     let first = &lines[*pos];
+    if depth >= MAX_NESTING {
+        return Err(too_deep(first.number));
+    }
     if first.text.starts_with("- ") || first.text == "-" {
-        parse_seq(lines, pos, indent)
+        parse_seq(lines, pos, indent, depth)
     } else {
-        parse_map(lines, pos, indent)
+        parse_map(lines, pos, indent, depth)
     }
 }
 
-fn parse_seq(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, YamlError> {
+fn parse_seq(
+    lines: &[Line],
+    pos: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<Yaml, YamlError> {
     let mut items = Vec::new();
     while *pos < lines.len() {
         let line = &lines[*pos];
@@ -218,7 +248,7 @@ fn parse_seq(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, Yam
             *pos += 1;
             if *pos < lines.len() && lines[*pos].indent > line.indent {
                 let child_indent = lines[*pos].indent;
-                items.push(parse_block(lines, pos, child_indent)?);
+                items.push(parse_block(lines, pos, child_indent, depth + 1)?);
             } else {
                 items.push(Yaml::Null);
             }
@@ -229,33 +259,38 @@ fn parse_seq(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, Yam
             let first_val = if value.is_empty() {
                 if *pos < lines.len() && lines[*pos].indent > item_indent {
                     let child_indent = lines[*pos].indent;
-                    parse_block(lines, pos, child_indent)?
+                    parse_block(lines, pos, child_indent, depth + 1)?
                 } else {
                     Yaml::Null
                 }
             } else {
-                parse_inline_value(value, line.number)?
+                parse_inline_value(value, line.number, depth + 1)?
             };
             let mut pairs = vec![(key, first_val)];
             while *pos < lines.len()
                 && lines[*pos].indent == item_indent
                 && !(lines[*pos].text.starts_with("- ") || lines[*pos].text == "-")
             {
-                let sub = parse_map(lines, pos, item_indent)?;
+                let sub = parse_map(lines, pos, item_indent, depth)?;
                 if let Yaml::Map(mut more) = sub {
                     pairs.append(&mut more);
                 }
             }
             items.push(Yaml::Map(pairs));
         } else {
-            items.push(parse_inline_value(rest, line.number)?);
+            items.push(parse_inline_value(rest, line.number, depth + 1)?);
             *pos += 1;
         }
     }
     Ok(Yaml::Seq(items))
 }
 
-fn parse_map(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, YamlError> {
+fn parse_map(
+    lines: &[Line],
+    pos: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<Yaml, YamlError> {
     let mut pairs: Vec<(String, Yaml)> = Vec::new();
     while *pos < lines.len() {
         let line = &lines[*pos];
@@ -279,12 +314,12 @@ fn parse_map(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, Yam
                         && (lines[*pos].text.starts_with("- ") || lines[*pos].text == "-")))
             {
                 let child_indent = lines[*pos].indent;
-                pairs.push((key, parse_block(lines, pos, child_indent)?));
+                pairs.push((key, parse_block(lines, pos, child_indent, depth + 1)?));
             } else {
                 pairs.push((key, Yaml::Null));
             }
         } else {
-            pairs.push((key, parse_inline_value(value, line.number)?));
+            pairs.push((key, parse_inline_value(value, line.number, depth + 1)?));
             *pos += 1;
         }
     }
@@ -305,12 +340,16 @@ fn split_key(text: &str) -> Option<(String, &str)> {
     None
 }
 
-fn parse_inline_value(text: &str, line: usize) -> Result<Yaml, YamlError> {
+/// Parses an inline value `depth` levels below the document root.
+fn parse_inline_value(text: &str, line: usize, depth: usize) -> Result<Yaml, YamlError> {
     let t = text.trim();
     if t.is_empty() {
         return Ok(Yaml::Null);
     }
     if t.starts_with('[') {
+        if depth >= MAX_NESTING {
+            return Err(too_deep(line));
+        }
         let Some(inner) = t.strip_prefix('[').and_then(|s| s.strip_suffix(']')) else {
             return Err(YamlError {
                 line,
@@ -321,7 +360,7 @@ fn parse_inline_value(text: &str, line: usize) -> Result<Yaml, YamlError> {
         for part in split_top_level(inner) {
             let p = part.trim();
             if !p.is_empty() {
-                items.push(parse_inline_value(p, line)?);
+                items.push(parse_inline_value(p, line, depth + 1)?);
             }
         }
         return Ok(Yaml::Seq(items));
@@ -445,6 +484,24 @@ mod tests {
         assert_eq!(pe.get("count").unwrap().as_u64(), Some(16));
         let alu = &pe.get("local").unwrap().items().unwrap()[0];
         assert_eq!(alu.get("name").unwrap().as_str(), Some("ALU"));
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_limit_is_an_error() {
+        let flow = |n: usize| format!("einsum: {}{}\n", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&flow(MAX_NESTING - 1)).is_ok());
+        assert!(parse(&flow(MAX_NESTING)).is_err());
+        // Far past any stack: rejected before recursing, not overflowed.
+        let err = parse(&flow(200_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        let block = |n: usize| -> String {
+            (0..n)
+                .map(|i| format!("{}k{i}:\n", " ".repeat(i)))
+                .collect()
+        };
+        assert!(parse(&block(MAX_NESTING)).is_ok());
+        let err = parse(&block(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(err.line, MAX_NESTING + 1);
     }
 
     #[test]

@@ -10,34 +10,40 @@
 //! reports the number of coordinate comparisons ("work") each would spend.
 //!
 //! Co-iteration is a *streaming dataflow of coordinate cursors* (in the
-//! spirit of the Sparse Abstract Machine): [`intersect2_stream`],
-//! [`intersect_stream`], and [`union_stream`] are lazy iterators over
+//! spirit of the Sparse Abstract Machine's single intersecter primitive):
+//! [`intersect_stream`] and [`union_stream`] are lazy streams over
 //! [`FiberView`] cursors that emit one match at a time, never
-//! materializing a match list. The matching eager functions
-//! ([`intersect2`], [`intersect_many`], [`union_many`]) are thin wrappers
-//! that drain a stream into a `Vec` — convenient for tests and small
-//! fibers, while the simulator's engine consumes the streams directly.
-//! Both report identical [`CoIterStats`].
+//! materializing a match list. [`IntersectStream::next_into`] and
+//! [`UnionStream::next_into`] write each match's positions into a buffer
+//! the caller owns, so a drained stream allocates nothing per element;
+//! the `Iterator` impls wrap them for tests and small fibers.
 
 use crate::coord::Coord;
-use crate::fiber::Fiber;
 use crate::view::{CoordKey, FiberView, PayloadView};
 
-/// The intersection unit type (Table 3 of the paper).
+/// The intersection unit type (Table 3 of the paper), and what each
+/// charges per two-input stage of an [`intersect_stream`] cascade.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum IntersectPolicy {
-    /// Classic merge: two pointers advance one coordinate at a time.
+    /// Classic merge: the two heads are compared and the smaller one
+    /// advances by one element. One comparison per head-to-head
+    /// comparison (at most `|a| + |b| − 1`).
     #[default]
     TwoFinger,
-    /// The leader's coordinates are looked up in the followers; work is
-    /// proportional to the leader's occupancy. `leader` is the operand
-    /// index.
+    /// The leader walks its fiber and looks each coordinate up in the
+    /// other operands: one comparison per probe, so a two-input stage
+    /// charges exactly the leader's occupancy. `leader` is the operand
+    /// index; an out-of-range index leads with operand 0.
     LeaderFollower {
         /// Index of the leading operand.
         leader: usize,
     },
-    /// Galloping/skip-ahead: pointers advance by exponentially probing,
-    /// modelling ExTensor-style skip-ahead intersection.
+    /// Skip-ahead (ExTensor): one comparison per head-to-head
+    /// comparison, after which the lagging side jumps straight to its
+    /// first coordinate `>=` the other head without further charge. A
+    /// stage skips only inside fibers it reads directly; a lagging
+    /// upstream stage advances one match at a time. Never charges more
+    /// than two-finger on the same fibers.
     SkipAhead,
 }
 
@@ -51,342 +57,82 @@ pub struct CoIterStats {
     pub matches: u64,
 }
 
+/// The first position at or after `from` whose coordinate is `>= target`,
+/// found by galloping (doubling steps, then a binary search). Seeking is
+/// cursor movement, never charged as comparisons.
+fn seek(fiber: &FiberView<'_>, from: usize, target: &CoordKey<'_>) -> usize {
+    let len = fiber.occupancy();
+    let below = |p: usize| fiber.coord_key_at(p).cmp_key(target).is_lt();
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < len && below(hi) {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let mut hi = hi.min(len);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The first position in `fiber` whose coordinate is `>= Point(c)` (the
+/// whole fiber must hold point coordinates).
+fn lower_bound_point(fiber: &FiberView<'_>, c: u64) -> usize {
+    seek(fiber, 0, &CoordKey::Point(c))
+}
+
 // ---------------------------------------------------------------------------
-// Two-input intersection.
+// Intersection: a lazy cascade of two-input stages.
 // ---------------------------------------------------------------------------
 
-/// Lazy two-input intersection over fiber cursors.
+/// Lazy intersection of any number of fibers: yields, per matching
+/// coordinate, the per-fiber positions (in input order).
 ///
-/// Yields `(coord, position in a, position in b)` one match at a time.
-/// Comparisons accrue as the stream advances; [`Intersect2Stream::stats`]
-/// is complete once the stream is drained.
+/// Structured as a cascade of two-input stages — the leading fiber feeds
+/// stage 1, whose output feeds stage 2, and so on — which is how
+/// multi-way intersections are built from two-input units in hardware.
+/// Each stage charges what its unit would spend on the *complete* output
+/// of the previous stage (see [`IntersectPolicy`]): a stage whose own
+/// fiber exhausts drains its upstream stage, charging it, without
+/// emitting.
 #[derive(Clone, Debug)]
-pub struct Intersect2Stream<'a> {
-    a: FiberView<'a>,
-    b: FiberView<'a>,
-    i: usize,
-    j: usize,
+pub struct IntersectStream<'a> {
+    /// Stage 0 is the leading fiber; stage `k >= 1` intersects the
+    /// upstream match stream with its own fiber.
+    stages: Vec<Stage<'a>>,
     policy: IntersectPolicy,
+    /// Shard boundary of a bounded stream: the leading fiber stops,
+    /// uncharged, at its first coordinate `>= Point(limit)`.
+    limit: Option<u64>,
     stats: CoIterStats,
 }
 
-/// Starts a lazy intersection of two fiber cursors under `policy`.
-///
-/// Comparison charging per policy:
-///
-/// - two-finger: one comparison per pointer advance (≈ `|a| + |b|` worst
-///   case, less when one side exhausts early),
-/// - leader-follower: one probe per leader element,
-/// - skip-ahead: galloping probes, `O(matches · log(skip))`.
-pub fn intersect2_stream<'a>(
-    a: FiberView<'a>,
-    b: FiberView<'a>,
-    policy: IntersectPolicy,
-) -> Intersect2Stream<'a> {
-    Intersect2Stream {
-        a,
-        b,
-        i: 0,
-        j: 0,
-        policy,
-        stats: CoIterStats::default(),
-    }
-}
-
-impl Intersect2Stream<'_> {
-    /// The statistics accrued so far (complete after draining).
-    pub fn stats(&self) -> CoIterStats {
-        self.stats.clone()
-    }
-}
-
-impl Iterator for Intersect2Stream<'_> {
-    type Item = (Coord, usize, usize);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.policy {
-            IntersectPolicy::TwoFinger => self.next_two_finger(),
-            IntersectPolicy::LeaderFollower { leader } => self.next_leader(leader == 1),
-            IntersectPolicy::SkipAhead => self.next_skip_ahead(),
-        }
-    }
-}
-
-impl Intersect2Stream<'_> {
-    fn next_two_finger(&mut self) -> Option<(Coord, usize, usize)> {
-        while self.i < self.a.occupancy() && self.j < self.b.occupancy() {
-            self.stats.comparisons += 1;
-            let ka = self.a.coord_key_at(self.i);
-            match ka.cmp_key(&self.b.coord_key_at(self.j)) {
-                std::cmp::Ordering::Equal => {
-                    let out = (ka.to_coord(), self.i, self.j);
-                    self.stats.matches += 1;
-                    self.i += 1;
-                    self.j += 1;
-                    return Some(out);
-                }
-                std::cmp::Ordering::Less => self.i += 1,
-                std::cmp::Ordering::Greater => self.j += 1,
-            }
-        }
-        None
-    }
-
-    /// Leader-follower: the stream walks the leader (`a` unless `swap`)
-    /// and probes the follower, charging one comparison per leader
-    /// element. Output positions stay `(pos in a, pos in b)`.
-    fn next_leader(&mut self, swap: bool) -> Option<(Coord, usize, usize)> {
-        let (lead, follow) = if swap {
-            (self.b, self.a)
-        } else {
-            (self.a, self.b)
-        };
-        while self.i < lead.occupancy() {
-            self.stats.comparisons += 1;
-            let key = lead.coord_key_at(self.i);
-            let pl = self.i;
-            self.i += 1;
-            if let Some(pf) = follow.position_of_key(&key) {
-                self.stats.matches += 1;
-                let out = if swap { (pf, pl) } else { (pl, pf) };
-                return Some((key.to_coord(), out.0, out.1));
-            }
-        }
-        None
-    }
-
-    fn next_skip_ahead(&mut self) -> Option<(Coord, usize, usize)> {
-        while self.i < self.a.occupancy() && self.j < self.b.occupancy() {
-            self.stats.comparisons += 1;
-            let ka = self.a.coord_key_at(self.i);
-            let kb = self.b.coord_key_at(self.j);
-            match ka.cmp_key(&kb) {
-                std::cmp::Ordering::Equal => {
-                    let out = (ka.to_coord(), self.i, self.j);
-                    self.stats.matches += 1;
-                    self.i += 1;
-                    self.j += 1;
-                    return Some(out);
-                }
-                std::cmp::Ordering::Less => {
-                    let hint = skew_step(self.a.occupancy() - self.i, self.b.occupancy() - self.j);
-                    let (ni, probes) = gallop(&self.a, self.i, &kb, hint);
-                    self.stats.comparisons += probes;
-                    self.i = ni;
-                }
-                std::cmp::Ordering::Greater => {
-                    let hint = skew_step(self.b.occupancy() - self.j, self.a.occupancy() - self.i);
-                    let (nj, probes) = gallop(&self.b, self.j, &ka, hint);
-                    self.stats.comparisons += probes;
-                    self.j = nj;
-                }
-            }
-        }
-        None
-    }
-}
-
-/// The adaptive gallop seed: when the advancing side has `rem_self`
-/// elements left against `rem_other` on the other side, the expected
-/// skip distance is their ratio. Balanced inputs degrade to the classic
-/// step of 1.
-fn skew_step(rem_self: usize, rem_other: usize) -> usize {
-    (rem_self / rem_other.max(1)).max(1)
-}
-
-/// Intersects two fibers eagerly, returning the positions of each match.
-///
-/// Each output tuple is `(coord, position in a, position in b)`. This is
-/// [`intersect2_stream`] drained into a `Vec`.
-pub fn intersect2(
-    a: &Fiber,
-    b: &Fiber,
-    policy: IntersectPolicy,
-) -> (Vec<(Coord, usize, usize)>, CoIterStats) {
-    let mut s = intersect2_stream(FiberView::Owned(a), FiberView::Owned(b), policy);
-    let out: Vec<_> = s.by_ref().collect();
-    (out, s.stats())
-}
-
-/// Gallops forward from `start` to the first position whose coordinate is
-/// `>= target`, returning `(position, probes spent)`.
-///
-/// `first_step` seeds the exponential probe. A skip-ahead unit facing a
-/// heavily skewed pair (a long fiber chasing a short one) expects jumps
-/// around `|long| / |short|`, so seeding with that ratio reaches the
-/// target in `O(log)` probes instead of warming up from 1 every time;
-/// `first_step = 1` reproduces the classic gallop.
-fn gallop(
-    fiber: &FiberView<'_>,
-    start: usize,
-    target: &CoordKey<'_>,
-    first_step: usize,
-) -> (usize, u64) {
-    let len = fiber.occupancy();
-    let mut probes = 0u64;
-    let mut step = first_step.max(1);
-    let mut lo = start;
-    let mut hi = start;
-    // Exponential probe.
-    while hi < len && fiber.coord_key_at(hi).cmp_key(target).is_lt() {
-        probes += 1;
-        lo = hi;
-        hi = (hi + step).min(len);
-        step *= 2;
-    }
-    // Binary search within (lo, hi].
-    let mut left = lo;
-    let mut right = hi;
-    while left < right {
-        probes += 1;
-        let mid = (left + right) / 2;
-        if fiber.coord_key_at(mid).cmp_key(target).is_lt() {
-            left = mid + 1;
-        } else {
-            right = mid;
-        }
-    }
-    (left, probes)
-}
-
-// ---------------------------------------------------------------------------
-// Multi-input intersection: a lazy cascade of two-input stages.
-// ---------------------------------------------------------------------------
-
-/// Lazy multi-input intersection: yields, per matching coordinate, the
-/// per-fiber positions.
-///
-/// Structured as a cascade of two-input stages — fiber 0 feeds stage 1,
-/// whose output feeds stage 2, and so on — which is how multi-way
-/// intersections are built from two-input units in hardware, and is also
-/// exactly how comparisons are charged: each stage counts as if it merged
-/// the *complete* output of the previous stage, so the totals equal the
-/// eager pairwise composition even though nothing is materialized. (A
-/// stage whose own fiber exhausts silently drains its upstream to keep
-/// that equivalence.)
-#[derive(Debug)]
-pub struct IntersectStream<'a> {
-    top: ManyNode<'a>,
-    matches: u64,
-}
-
-#[derive(Debug)]
-enum ManyNode<'a> {
-    /// Fiber 0: emits every element with its position, charging nothing.
-    /// With a `limit`, emission stops (uncharged) at the first coordinate
-    /// `>= Point(limit)` — the shard boundary of a bounded stream.
-    Source {
-        fiber: FiberView<'a>,
-        pos: usize,
-        limit: Option<u64>,
-    },
-    /// One two-input unit merging the upstream match stream with a fiber.
-    Stage(Box<ManyStage<'a>>),
-}
-
-#[derive(Debug)]
-struct ManyStage<'a> {
-    upstream: ManyNode<'a>,
+#[derive(Clone, Debug)]
+struct Stage<'a> {
     fiber: FiberView<'a>,
-    j: usize,
-    /// Leader-follower mode: probe instead of merge.
-    probe: bool,
-    comparisons: u64,
-    left: Option<(Coord, Vec<usize>)>,
-    primed: bool,
+    /// The input slot this fiber's positions are reported in.
+    input: usize,
+    /// The next unread position.
+    cursor: usize,
+    /// The position of the stage's latest match.
+    hit: usize,
+    /// The upstream match is consumed: fetch the next one before
+    /// comparing again (stages `>= 1`).
+    stale: bool,
     done: bool,
 }
 
-impl<'a> ManyNode<'a> {
-    fn next(&mut self) -> Option<(Coord, Vec<usize>)> {
-        match self {
-            ManyNode::Source { fiber, pos, limit } => {
-                if *pos >= fiber.occupancy() {
-                    return None;
-                }
-                let key = fiber.coord_key_at(*pos);
-                if let Some(h) = limit {
-                    if !key.cmp_key(&CoordKey::Point(*h)).is_lt() {
-                        return None;
-                    }
-                }
-                let item = (key.to_coord(), vec![*pos]);
-                *pos += 1;
-                Some(item)
-            }
-            ManyNode::Stage(s) => s.next(),
-        }
-    }
-
-    fn comparisons(&self) -> u64 {
-        match self {
-            ManyNode::Source { .. } => 0,
-            ManyNode::Stage(s) => s.comparisons + s.upstream.comparisons(),
-        }
-    }
-}
-
-impl ManyStage<'_> {
-    fn next(&mut self) -> Option<(Coord, Vec<usize>)> {
-        if self.done {
-            return None;
-        }
-        if !self.primed {
-            self.left = self.upstream.next();
-            self.primed = true;
-        }
-        if self.probe {
-            // Leader-follower: every upstream match costs one probe of
-            // this fiber, whether or not it hits.
-            while let Some((c, mut ps)) = self.left.take() {
-                self.comparisons += 1;
-                let hit = self.fiber.position(&c);
-                self.left = self.upstream.next();
-                if let Some(pf) = hit {
-                    ps.push(pf);
-                    return Some((c, ps));
-                }
-            }
-            self.done = true;
-            return None;
-        }
-        // Two-finger merge of the upstream stream against this fiber.
-        loop {
-            if self.left.is_none() {
-                // Upstream exhausted (and, by induction, fully drained).
-                self.done = true;
-                return None;
-            }
-            if self.j >= self.fiber.occupancy() {
-                // This fiber exhausted: the eager pairwise composition
-                // still materializes the full upstream match list, so
-                // drain it (charging its comparisons) without emitting.
-                while self.upstream.next().is_some() {}
-                self.left = None;
-                self.done = true;
-                return None;
-            }
-            self.comparisons += 1;
-            let cmp = {
-                let (c, _) = self.left.as_ref().expect("checked above");
-                self.fiber.coord_key_at(self.j).cmp_coord(c).reverse()
-            };
-            match cmp {
-                std::cmp::Ordering::Equal => {
-                    let (c, mut ps) = self.left.take().expect("checked above");
-                    ps.push(self.j);
-                    self.j += 1;
-                    self.left = self.upstream.next();
-                    return Some((c, ps));
-                }
-                std::cmp::Ordering::Less => self.left = self.upstream.next(),
-                std::cmp::Ordering::Greater => self.j += 1,
-            }
-        }
-    }
-}
-
-/// Starts a lazy multi-input intersection of `fibers` under `policy`.
+/// Starts a lazy intersection of `fibers` under `policy`.
+///
+/// Two-finger and skip-ahead cascades lead with fiber 0; leader-follower
+/// leads with the declared leader and probes the other fibers in input
+/// order.
 ///
 /// # Panics
 ///
@@ -399,40 +145,27 @@ pub fn intersect_stream<'a>(
         !fibers.is_empty(),
         "intersect_stream needs at least one fiber"
     );
-    let mut top = ManyNode::Source {
-        fiber: fibers[0],
-        pos: 0,
-        limit: None,
+    let lead = match policy {
+        IntersectPolicy::LeaderFollower { leader } if leader < fibers.len() => leader,
+        _ => 0,
     };
-    for &f in &fibers[1..] {
-        top = ManyNode::Stage(Box::new(ManyStage {
-            upstream: top,
-            fiber: f,
-            j: 0,
-            probe: matches!(policy, IntersectPolicy::LeaderFollower { .. }),
-            comparisons: 0,
-            left: None,
-            primed: false,
+    let stages = std::iter::once(lead)
+        .chain((0..fibers.len()).filter(|&i| i != lead))
+        .map(|input| Stage {
+            fiber: fibers[input],
+            input,
+            cursor: 0,
+            hit: 0,
+            stale: true,
             done: false,
-        }));
+        })
+        .collect();
+    IntersectStream {
+        stages,
+        policy,
+        limit: None,
+        stats: CoIterStats::default(),
     }
-    IntersectStream { top, matches: 0 }
-}
-
-/// Binary search for the first position in `fiber` whose coordinate is
-/// `>= Point(c)` (the whole fiber must hold point coordinates).
-fn lower_bound_point(fiber: &FiberView<'_>, c: u64) -> usize {
-    let target = CoordKey::Point(c);
-    let (mut lo, mut hi) = (0usize, fiber.occupancy());
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if fiber.coord_key_at(mid).cmp_key(&target).is_lt() {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 /// Starts a *bounded* lazy intersection emitting only matches whose
@@ -440,13 +173,17 @@ fn lower_bound_point(fiber: &FiberView<'_>, c: u64) -> usize {
 /// co-iteration.
 ///
 /// Positions stay absolute (identical to the unbounded stream), and the
-/// comparison charging is **shard-exact**: running the same intersection
-/// over a partition of `[0, ∞)` into consecutive `[lo, hi)` windows and
-/// summing the per-shard [`CoIterStats`] reproduces the unbounded totals
-/// bit for bit. That holds because the leader starts at the first
-/// coordinate `>= lo` and stops uncharged at the first `>= hi`, while the
-/// follower cursor is pre-positioned exactly where the sequential merge
-/// would have left it after consuming every leader element below `lo`.
+/// comparison charging is **shard-exact** under every policy: running the
+/// same intersection over a partition of `[0, ∞)` into consecutive
+/// `[lo, hi)` windows and summing the per-shard [`CoIterStats`]
+/// reproduces the unbounded totals bit for bit. Each comparison belongs
+/// to the shard holding the leading fiber's coordinate: the leader starts
+/// at its first coordinate `>= lo` and stops uncharged at the first
+/// `>= hi`, while the other fiber's cursor starts exactly where the
+/// unbounded stream has it when the leader first reaches `lo`. For a
+/// merge that is one past the last coordinate `<=` the leader's previous
+/// coordinate; skip-ahead additionally lets the leader jump past that
+/// coordinate unless the previous one matched.
 ///
 /// Fibers must hold point coordinates.
 ///
@@ -465,46 +202,143 @@ pub fn intersect_stream_bounded<'a>(
         (1..=2).contains(&fibers.len()),
         "bounded intersection is shard-exact for one or two fibers only"
     );
-    let start = lower_bound_point(&fibers[0], lo);
-    let mut top = ManyNode::Source {
-        fiber: fibers[0],
-        pos: start,
-        limit: Some(hi),
-    };
-    if let Some(&f) = fibers.get(1) {
-        // Where the sequential two-finger merge leaves the follower after
-        // consuming every leader element below `lo`: one past the last
-        // follower coordinate `<=` the previous leader coordinate.
-        let j = if start > 0 {
-            let prev = fibers[0]
-                .coord_key_at(start - 1)
-                .to_coord()
+    let mut s = intersect_stream(fibers, policy);
+    s.limit = Some(hi);
+    let start = lower_bound_point(&s.stages[0].fiber, lo);
+    s.stages[0].cursor = start;
+    if let [lead, other] = &mut s.stages[..] {
+        // A leader-follower probe has no cursor on the other fiber.
+        if start > 0 && !matches!(policy, IntersectPolicy::LeaderFollower { .. }) {
+            let prev = lead
+                .fiber
+                .coord_at(start - 1)
                 .as_point()
                 .expect("bounded intersection requires point coordinates");
-            lower_bound_point(&f, prev.saturating_add(1))
-        } else {
-            0
-        };
-        top = ManyNode::Stage(Box::new(ManyStage {
-            upstream: top,
-            fiber: f,
-            j,
-            probe: matches!(policy, IntersectPolicy::LeaderFollower { .. }),
-            comparisons: 0,
-            left: None,
-            primed: false,
-            done: false,
-        }));
+            other.cursor = lower_bound_point(&other.fiber, prev.saturating_add(1));
+            let matched_prev =
+                other.cursor > 0 && other.fiber.coord_at(other.cursor - 1).as_point() == Some(prev);
+            if policy == IntersectPolicy::SkipAhead
+                && !matched_prev
+                && other.cursor < other.fiber.occupancy()
+            {
+                let target = other.fiber.coord_key_at(other.cursor);
+                lead.cursor = seek(&lead.fiber, start, &target);
+            }
+        }
     }
-    IntersectStream { top, matches: 0 }
+    s
 }
 
-impl IntersectStream<'_> {
+impl<'a> IntersectStream<'a> {
     /// The statistics accrued so far (complete after draining).
     pub fn stats(&self) -> CoIterStats {
-        CoIterStats {
-            comparisons: self.top.comparisons(),
-            matches: self.matches,
+        self.stats.clone()
+    }
+
+    /// Advances to the next match, writing `Some(position)` for every
+    /// input fiber into `positions[input]`, and returns its coordinate.
+    /// Nothing is allocated unless the coordinate is a tuple.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `positions` has fewer slots than the stream has fibers.
+    pub fn next_into(&mut self, positions: &mut [Option<usize>]) -> Option<Coord> {
+        if !self.pull(self.stages.len() - 1) {
+            return None;
+        }
+        self.stats.matches += 1;
+        for s in &self.stages {
+            positions[s.input] = Some(s.hit);
+        }
+        let lead = &self.stages[0];
+        Some(lead.fiber.coord_at(lead.hit))
+    }
+
+    /// Emits the leading fiber's next element within the limit.
+    fn pull_lead(&mut self) -> bool {
+        let lead = &mut self.stages[0];
+        if lead.cursor >= lead.fiber.occupancy() {
+            return false;
+        }
+        if let Some(h) = self.limit {
+            if !lead
+                .fiber
+                .coord_key_at(lead.cursor)
+                .cmp_key(&CoordKey::Point(h))
+                .is_lt()
+            {
+                return false;
+            }
+        }
+        lead.hit = lead.cursor;
+        lead.cursor += 1;
+        true
+    }
+
+    /// Advances stage `k` to its next match; `hit` of stages `0..=k`
+    /// then holds the match's positions.
+    fn pull(&mut self, k: usize) -> bool {
+        if k == 0 {
+            return self.pull_lead();
+        }
+        let skip = self.policy == IntersectPolicy::SkipAhead;
+        loop {
+            if self.stages[k].done {
+                return false;
+            }
+            if self.stages[k].stale {
+                if !self.pull(k - 1) {
+                    self.stages[k].done = true;
+                    return false;
+                }
+                self.stages[k].stale = false;
+            }
+            // Every upstream fiber holds the upstream match's coordinate.
+            let head = self.stages[0].fiber.coord_key_at(self.stages[0].hit);
+            let s = &mut self.stages[k];
+            if let IntersectPolicy::LeaderFollower { .. } = self.policy {
+                self.stats.comparisons += 1;
+                s.stale = true;
+                if let Some(p) = s.fiber.position_of_key(&head) {
+                    s.hit = p;
+                    return true;
+                }
+                continue;
+            }
+            if s.cursor >= s.fiber.occupancy() {
+                // The pairwise composition still materializes the full
+                // upstream match list, so drain it (charging its
+                // comparisons) without emitting. The leading fiber
+                // charges nothing to drain.
+                s.done = true;
+                if k > 1 {
+                    while self.pull(k - 1) {}
+                }
+                return false;
+            }
+            self.stats.comparisons += 1;
+            match s.fiber.coord_key_at(s.cursor).cmp_key(&head) {
+                std::cmp::Ordering::Equal => {
+                    s.hit = s.cursor;
+                    s.cursor += 1;
+                    s.stale = true;
+                    return true;
+                }
+                // This fiber lags: skip-ahead jumps it, uncharged.
+                std::cmp::Ordering::Less if skip => s.cursor = seek(&s.fiber, s.cursor + 1, &head),
+                std::cmp::Ordering::Less => s.cursor += 1,
+                // The upstream lags. Skip-ahead can jump only the leading
+                // fiber (stage 1 reads it directly); an upstream stage
+                // advances one match at a time.
+                std::cmp::Ordering::Greater => {
+                    s.stale = true;
+                    if skip && k == 1 {
+                        let target = s.fiber.coord_key_at(s.cursor);
+                        let lead = &mut self.stages[0];
+                        lead.cursor = seek(&lead.fiber, lead.cursor, &target);
+                    }
+                }
+            }
         }
     }
 }
@@ -513,53 +347,35 @@ impl Iterator for IntersectStream<'_> {
     type Item = (Coord, Vec<usize>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let item = self.top.next();
-        if item.is_some() {
-            self.matches += 1;
-        }
-        item
+        let mut positions = vec![None; self.stages.len()];
+        let c = self.next_into(&mut positions)?;
+        Some((c, positions.into_iter().flatten().collect()))
     }
-}
-
-/// Intersects any number of fibers eagerly, returning for each matching
-/// coordinate the per-fiber positions. This is [`intersect_stream`]
-/// drained into a `Vec`.
-///
-/// # Panics
-///
-/// Panics when `fibers` is empty.
-pub fn intersect_many(
-    fibers: &[&Fiber],
-    policy: IntersectPolicy,
-) -> (Vec<(Coord, Vec<usize>)>, CoIterStats) {
-    let views: Vec<FiberView<'_>> = fibers.iter().map(|f| FiberView::Owned(f)).collect();
-    let mut s = intersect_stream(&views, policy);
-    let out: Vec<_> = s.by_ref().collect();
-    (out, s.stats())
 }
 
 // ---------------------------------------------------------------------------
 // Union.
 // ---------------------------------------------------------------------------
 
-/// One union result row: a coordinate plus, per input fiber, the position
-/// of that coordinate when the fiber holds it.
+/// One union result row: a coordinate plus, per input slot, the position
+/// of that coordinate when the slot's fiber holds it.
 pub type UnionMatch = (Coord, Vec<Option<usize>>);
 
 /// Lazy multi-input union over fiber cursors: yields every coordinate
 /// present in at least one fiber, with the per-fiber position when
-/// present. One comparison is charged per live fiber per emitted
-/// coordinate (the min-finding work of the merging sequencer).
+/// present. An absent slot (`None`) never holds a coordinate. One
+/// comparison is charged per unexhausted fiber per emitted coordinate
+/// (the min-finding work of the merging sequencer).
 #[derive(Clone, Debug)]
 pub struct UnionStream<'a> {
-    fibers: Vec<FiberView<'a>>,
+    fibers: Vec<Option<FiberView<'a>>>,
     cursors: Vec<usize>,
     stats: CoIterStats,
     limit: Option<u64>,
 }
 
-/// Starts a lazy union of `fibers`.
-pub fn union_stream<'a>(fibers: &[FiberView<'a>]) -> UnionStream<'a> {
+/// Starts a lazy union of `fibers`, one slot per input.
+pub fn union_stream<'a>(fibers: &[Option<FiberView<'a>>]) -> UnionStream<'a> {
     UnionStream {
         cursors: vec![0; fibers.len()],
         fibers: fibers.to_vec(),
@@ -575,42 +391,50 @@ pub fn union_stream<'a>(fibers: &[FiberView<'a>]) -> UnionStream<'a> {
 /// min-scan that would emit a coordinate `>= hi` charges nothing (the
 /// next shard performs — and pays for — that scan itself). Fibers must
 /// hold point coordinates.
-pub fn union_stream_bounded<'a>(fibers: &[FiberView<'a>], lo: u64, hi: u64) -> UnionStream<'a> {
+pub fn union_stream_bounded<'a>(
+    fibers: &[Option<FiberView<'a>>],
+    lo: u64,
+    hi: u64,
+) -> UnionStream<'a> {
     UnionStream {
-        cursors: fibers.iter().map(|f| lower_bound_point(f, lo)).collect(),
+        cursors: fibers
+            .iter()
+            .map(|f| f.map_or(0, |f| lower_bound_point(&f, lo)))
+            .collect(),
         fibers: fibers.to_vec(),
         stats: CoIterStats::default(),
         limit: Some(hi),
     }
 }
 
-impl UnionStream<'_> {
+impl<'a> UnionStream<'a> {
     /// The statistics accrued so far (complete after draining).
     pub fn stats(&self) -> CoIterStats {
         self.stats.clone()
     }
-}
 
-impl Iterator for UnionStream<'_> {
-    type Item = UnionMatch;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Advances to the next coordinate, writing each slot's position (or
+    /// `None`) into `positions`, and returns the coordinate. Nothing is
+    /// allocated unless the coordinate is a tuple.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `positions` has fewer slots than the stream.
+    pub fn next_into(&mut self, positions: &mut [Option<usize>]) -> Option<Coord> {
         // Find the minimum current coordinate across all fibers. Scan
         // charges are tallied locally and only committed on emission:
         // a bounded stream's final scan — the one that discovers the
         // boundary coordinate — is performed again (and paid for) by
         // the shard that owns that coordinate, so per-shard stats sum
         // exactly to the sequential stream's.
-        let mut min: Option<CoordKey<'_>> = None;
+        let mut min: Option<CoordKey<'a>> = None;
         let mut scanned = 0u64;
         for (f, &cur) in self.fibers.iter().zip(&self.cursors) {
-            if cur < f.occupancy() {
+            if let Some(f) = f.filter(|f| cur < f.occupancy()) {
                 scanned += 1;
                 let key = f.coord_key_at(cur);
-                match &min {
-                    None => min = Some(key),
-                    Some(m) if key.cmp_key(m).is_lt() => min = Some(key),
-                    _ => {}
+                if min.map_or(true, |m| key.cmp_key(&m).is_lt()) {
+                    min = Some(key);
                 }
             }
         }
@@ -620,30 +444,27 @@ impl Iterator for UnionStream<'_> {
                 return None;
             }
         }
-        self.stats.comparisons += scanned;
-        let m = min.to_coord();
-        let mut row: Vec<Option<usize>> = Vec::with_capacity(self.fibers.len());
-        for (idx, f) in self.fibers.iter().enumerate() {
-            let cur = self.cursors[idx];
-            if cur < f.occupancy() && f.coord_key_at(cur).cmp_coord(&m).is_eq() {
-                row.push(Some(cur));
-                self.cursors[idx] += 1;
-            } else {
-                row.push(None);
-            }
+        for ((f, cur), slot) in self.fibers.iter().zip(&mut self.cursors).zip(positions) {
+            let here = f.is_some_and(|f| {
+                *cur < f.occupancy() && f.coord_key_at(*cur).cmp_key(&min).is_eq()
+            });
+            *slot = here.then_some(*cur);
+            *cur += usize::from(here);
         }
+        self.stats.comparisons += scanned;
         self.stats.matches += 1;
-        Some((m, row))
+        Some(min.to_coord())
     }
 }
 
-/// Unions any number of fibers eagerly. This is [`union_stream`] drained
-/// into a `Vec`.
-pub fn union_many(fibers: &[&Fiber]) -> (Vec<UnionMatch>, CoIterStats) {
-    let views: Vec<FiberView<'_>> = fibers.iter().map(|f| FiberView::Owned(f)).collect();
-    let mut s = union_stream(&views);
-    let out: Vec<_> = s.by_ref().collect();
-    (out, s.stats())
+impl Iterator for UnionStream<'_> {
+    type Item = UnionMatch;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut positions = vec![None; self.fibers.len()];
+        let c = self.next_into(&mut positions)?;
+        Some((c, positions))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -673,7 +494,15 @@ mod tests {
     use super::*;
     use crate::compressed::CompressedTensor;
     use crate::coord::Shape;
+    use crate::fiber::Fiber;
     use crate::view::TensorData;
+
+    const POLICIES: [IntersectPolicy; 4] = [
+        IntersectPolicy::TwoFinger,
+        IntersectPolicy::LeaderFollower { leader: 0 },
+        IntersectPolicy::LeaderFollower { leader: 1 },
+        IntersectPolicy::SkipAhead,
+    ];
 
     fn fib(coords: &[u64]) -> Fiber {
         Fiber::from_pairs(
@@ -693,72 +522,119 @@ mod tests {
         .expect("test fiber is valid")
     }
 
+    /// Drains an intersection of owned fibers.
+    fn intersect(
+        fibers: &[&Fiber],
+        policy: IntersectPolicy,
+    ) -> (Vec<(Coord, Vec<usize>)>, CoIterStats) {
+        let views: Vec<FiberView<'_>> = fibers.iter().map(|f| FiberView::Owned(f)).collect();
+        let mut s = intersect_stream(&views, policy);
+        let out: Vec<_> = s.by_ref().collect();
+        (out, s.stats())
+    }
+
+    /// Drains a union of owned fibers.
+    fn union(fibers: &[&Fiber]) -> (Vec<UnionMatch>, CoIterStats) {
+        let views: Vec<_> = fibers.iter().map(|f| Some(FiberView::Owned(f))).collect();
+        let mut s = union_stream(&views);
+        let out: Vec<_> = s.by_ref().collect();
+        (out, s.stats())
+    }
+
     #[test]
     fn two_finger_finds_all_matches() {
         let a = fib(&[1, 3, 5, 7]);
         let b = fib(&[2, 3, 7, 9]);
-        let (m, s) = intersect2(&a, &b, IntersectPolicy::TwoFinger);
-        let coords: Vec<u64> = m.iter().map(|(c, _, _)| c.as_point().unwrap()).collect();
+        let (m, s) = intersect(&[&a, &b], IntersectPolicy::TwoFinger);
+        let coords: Vec<u64> = m.iter().map(|(c, _)| c.as_point().unwrap()).collect();
         assert_eq!(coords, vec![3, 7]);
+        assert_eq!(m[1].1, vec![3, 2]);
         assert_eq!(s.matches, 2);
-        assert!(s.comparisons >= 2 && s.comparisons <= 8);
+        // 1<2, 2<3, 3=3, 5<7, 7=7, then `a` is exhausted.
+        assert_eq!(s.comparisons, 5);
     }
 
     #[test]
     fn all_policies_agree_on_matches() {
         let a = fib(&[0, 2, 4, 6, 8, 10, 50, 51, 52]);
         let b = fib(&[4, 5, 6, 52, 99]);
-        let (m0, _) = intersect2(&a, &b, IntersectPolicy::TwoFinger);
-        let (m1, _) = intersect2(&a, &b, IntersectPolicy::LeaderFollower { leader: 0 });
-        let (m2, _) = intersect2(&a, &b, IntersectPolicy::LeaderFollower { leader: 1 });
-        let (m3, _) = intersect2(&a, &b, IntersectPolicy::SkipAhead);
-        assert_eq!(m0, m1);
-        assert_eq!(m0, m2);
-        assert_eq!(m0, m3);
+        let (m0, _) = intersect(&[&a, &b], IntersectPolicy::TwoFinger);
+        for policy in POLICIES {
+            assert_eq!(intersect(&[&a, &b], policy).0, m0, "{policy:?}");
+            assert_eq!(intersect(&[&b, &a], policy).0.len(), m0.len(), "{policy:?}");
+        }
     }
 
     #[test]
     fn leader_follower_work_tracks_leader_occupancy() {
         let small = fib(&[100, 200]);
         let big = fib(&(0..500).collect::<Vec<u64>>());
-        let (_, s) = intersect2(&small, &big, IntersectPolicy::LeaderFollower { leader: 0 });
+        let (m, s) = intersect(
+            &[&small, &big],
+            IntersectPolicy::LeaderFollower { leader: 0 },
+        );
         assert_eq!(s.comparisons, 2);
-        let (_, s) = intersect2(&small, &big, IntersectPolicy::LeaderFollower { leader: 1 });
+        let (m1, s) = intersect(
+            &[&small, &big],
+            IntersectPolicy::LeaderFollower { leader: 1 },
+        );
         assert_eq!(s.comparisons, 500);
+        // Positions stay in input order whichever fiber leads.
+        assert_eq!(m, m1);
+        assert_eq!(m[0].1, vec![0, 100]);
+        // An out-of-range leader leads with fiber 0.
+        let (_, s) = intersect(
+            &[&small, &big],
+            IntersectPolicy::LeaderFollower { leader: 7 },
+        );
+        assert_eq!(s.comparisons, 2);
     }
 
     #[test]
     fn skip_ahead_beats_two_finger_on_skewed_inputs() {
         let sparse = fib(&[999]);
         let dense = fib(&(0..1000).collect::<Vec<u64>>());
-        let (_, tf) = intersect2(&sparse, &dense, IntersectPolicy::TwoFinger);
-        let (_, sa) = intersect2(&sparse, &dense, IntersectPolicy::SkipAhead);
-        assert!(
-            sa.comparisons < tf.comparisons / 10,
-            "skip-ahead {} should be far below two-finger {}",
-            sa.comparisons,
-            tf.comparisons
-        );
+        let (_, tf) = intersect(&[&sparse, &dense], IntersectPolicy::TwoFinger);
+        let (_, sa) = intersect(&[&sparse, &dense], IntersectPolicy::SkipAhead);
+        assert_eq!(tf.comparisons, 1000);
+        // 999 > 0: `dense` jumps to 999 uncharged; 999 = 999.
+        assert_eq!(sa.comparisons, 2);
     }
 
     #[test]
-    fn intersect_many_matches_pairwise_composition() {
+    fn skip_ahead_charges_each_head_comparison_once() {
+        // 1<4: a jumps to 5; 5>4: b jumps to 6; 5<6: a jumps to 8;
+        // 8>6: b jumps to 9; 8<9: a jumps to 9; 9=9; a exhausted.
+        let a = fib(&[1, 2, 3, 5, 8, 9]);
+        let b = fib(&[4, 6, 9]);
+        let (m, sa) = intersect(&[&a, &b], IntersectPolicy::SkipAhead);
+        assert_eq!(m, vec![(Coord::Point(9), vec![5, 2])]);
+        assert_eq!(sa.comparisons, 6);
+        let (_, tf) = intersect(&[&a, &b], IntersectPolicy::TwoFinger);
+        assert_eq!(tf.comparisons, 8);
+    }
+
+    #[test]
+    fn three_way_cascade_matches_pairwise_composition() {
         let a = fib(&[1, 2, 3, 4, 5]);
         let b = fib(&[2, 4, 6]);
         let c = fib(&[4, 5, 6]);
-        let (m, _) = intersect_many(&[&a, &b, &c], IntersectPolicy::TwoFinger);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[0].0, Coord::Point(4));
-        assert_eq!(m[0].1, vec![3, 1, 0]);
+        for policy in POLICIES {
+            let (m, _) = intersect(&[&a, &b, &c], policy);
+            assert_eq!(m, vec![(Coord::Point(4), vec![3, 1, 0])], "{policy:?}");
+        }
+        // Leader-follower from `c`: probe `a` for each of c's 3
+        // coordinates (4 and 5 hit), then `b` for each of those 2.
+        let (_, s) = intersect(&[&a, &b, &c], IntersectPolicy::LeaderFollower { leader: 2 });
+        assert_eq!(s.comparisons, 3 + 2);
     }
 
     #[test]
     fn streams_are_lazy_but_stats_complete_on_drain() {
         let a = fib(&[1, 3, 5, 7]);
         let b = fib(&[3, 7]);
-        let mut s = intersect2_stream(
-            FiberView::Owned(&a),
-            FiberView::Owned(&b),
+        let mut s = intersect_stream(
+            &[FiberView::Owned(&a), FiberView::Owned(&b)],
             IntersectPolicy::TwoFinger,
         );
         let first = s.next().unwrap();
@@ -771,30 +647,41 @@ mod tests {
     }
 
     #[test]
+    fn next_into_fills_one_slot_per_input() {
+        let a = fib(&[1, 3]);
+        let b = fib(&[3, 4]);
+        let mut slots = [None, None, Some(9)];
+        let mut s = intersect_stream(
+            &[FiberView::Owned(&a), FiberView::Owned(&b)],
+            IntersectPolicy::LeaderFollower { leader: 1 },
+        );
+        assert_eq!(s.next_into(&mut slots), Some(Coord::Point(3)));
+        assert_eq!(slots, [Some(1), Some(0), Some(9)]);
+        assert_eq!(s.next_into(&mut slots), None);
+        let mut u = union_stream(&[Some(FiberView::Owned(&a)), None, Some(FiberView::Owned(&b))]);
+        assert_eq!(u.next_into(&mut slots), Some(Coord::Point(1)));
+        assert_eq!(slots, [Some(0), None, None]);
+        assert_eq!(u.next_into(&mut slots), Some(Coord::Point(3)));
+        assert_eq!(slots, [Some(1), None, Some(0)]);
+    }
+
+    #[test]
     fn streams_agree_across_representations() {
         let coords_a: Vec<u64> = vec![0, 2, 4, 6, 8, 10, 50, 51, 52];
         let coords_b: Vec<u64> = vec![4, 5, 6, 52, 99];
         let (oa, ob) = (fib(&coords_a), fib(&coords_b));
         let (ca, cb) = (compressed(&coords_a), compressed(&coords_b));
         let (da, db) = (TensorData::Compressed(ca), TensorData::Compressed(cb));
-        for policy in [
-            IntersectPolicy::TwoFinger,
-            IntersectPolicy::LeaderFollower { leader: 0 },
-            IntersectPolicy::LeaderFollower { leader: 1 },
-            IntersectPolicy::SkipAhead,
-        ] {
-            let (mo, so) = intersect2(&oa, &ob, policy);
-            let mut s = intersect2_stream(
-                da.root_fiber_view().unwrap(),
-                db.root_fiber_view().unwrap(),
-                policy,
-            );
+        let (va, vb) = (da.root_fiber_view().unwrap(), db.root_fiber_view().unwrap());
+        for policy in POLICIES {
+            let (mo, so) = intersect(&[&oa, &ob], policy);
+            let mut s = intersect_stream(&[va, vb], policy);
             let mc: Vec<_> = s.by_ref().collect();
             assert_eq!(mo, mc, "{policy:?}");
             assert_eq!(so, s.stats(), "{policy:?}");
         }
-        let (uo, suo) = union_many(&[&oa, &ob]);
-        let mut us = union_stream(&[da.root_fiber_view().unwrap(), db.root_fiber_view().unwrap()]);
+        let (uo, suo) = union(&[&oa, &ob]);
+        let mut us = union_stream(&[Some(va), Some(vb)]);
         let uc: Vec<_> = us.by_ref().collect();
         assert_eq!(uo, uc);
         assert_eq!(suo, us.stats());
@@ -802,25 +689,27 @@ mod tests {
 
     #[test]
     fn cascade_drains_upstream_when_a_stage_exhausts() {
-        // b exhausts immediately, but the a→b stage must still charge the
-        // comparisons the eager composition would (full |a| materialized,
-        // then the a∩b merge, then nothing at the c stage).
+        // b exhausts after one match, but the a→b stage must still charge
+        // the comparisons the pairwise composition would: the a∩b stage
+        // matches 1 (one comparison) and then exhausts; the c stage
+        // compares that match against 9 (one comparison) and ends.
         let a = fib(&[1, 2, 3, 4, 5]);
         let b = fib(&[1]);
         let c = fib(&[9]);
-        let (me, se) = intersect_many(&[&a, &b, &c], IntersectPolicy::TwoFinger);
-        assert!(me.is_empty());
-        let views = [&a, &b, &c].map(FiberView::Owned);
-        let mut s = intersect_stream(&views, IntersectPolicy::TwoFinger);
-        assert!(s.by_ref().next().is_none());
-        assert_eq!(s.stats(), se);
+        let (m, s) = intersect(&[&a, &b, &c], IntersectPolicy::TwoFinger);
+        assert!(m.is_empty());
+        assert_eq!((s.comparisons, s.matches), (2, 0));
+        // A three-stage cascade whose last fiber is empty drains a∩b.
+        let empty = fib(&[]);
+        let (_, s) = intersect(&[&a, &b, &empty], IntersectPolicy::TwoFinger);
+        assert_eq!((s.comparisons, s.matches), (1, 0));
     }
 
     #[test]
     fn union_yields_every_coordinate_once() {
         let a = fib(&[1, 3]);
         let b = fib(&[2, 3, 5]);
-        let (u, s) = union_many(&[&a, &b]);
+        let (u, s) = union(&[&a, &b]);
         let coords: Vec<u64> = u.iter().map(|(c, _)| c.as_point().unwrap()).collect();
         assert_eq!(coords, vec![1, 2, 3, 5]);
         assert_eq!(u[2].1, vec![Some(1), Some(1)]);
@@ -832,7 +721,7 @@ mod tests {
     fn union_of_empty_fibers_is_empty() {
         let a = Fiber::new(Shape::Interval(5));
         let b = Fiber::new(Shape::Interval(5));
-        let (u, _) = union_many(&[&a, &b]);
+        let (u, _) = union(&[&a, &b]);
         assert!(u.is_empty());
     }
 
@@ -843,9 +732,8 @@ mod tests {
     fn bounded_intersect_shards_partition_sequential_exactly() {
         let coords_a: Vec<u64> = vec![0, 2, 4, 6, 8, 10, 50, 51, 52, 400, 401, 700];
         let coords_b: Vec<u64> = vec![4, 5, 6, 52, 99, 400, 700, 999];
-        // Both representations: the engine shards owned and compressed
-        // inputs alike, and their coordinate keys differ (Borrowed vs
-        // inline Point).
+        // Both representations: their coordinate keys differ (Borrowed
+        // vs inline Point).
         let (ca, cb) = (compressed(&coords_a), compressed(&coords_b));
         let (da, db) = (TensorData::Compressed(ca), TensorData::Compressed(cb));
         let (fa, fb) = (fib(&coords_a), fib(&coords_b));
@@ -854,23 +742,18 @@ mod tests {
             [FiberView::Owned(&fa), FiberView::Owned(&fb)],
         ];
         for pair in &view_sets {
-            for policy in [
-                IntersectPolicy::TwoFinger,
-                IntersectPolicy::LeaderFollower { leader: 0 },
-                IntersectPolicy::LeaderFollower { leader: 1 },
-                IntersectPolicy::SkipAhead,
-            ] {
-                for nf in [1usize, 2] {
-                    let views: Vec<FiberView<'_>> = pair[..nf].to_vec();
-                    let mut whole = intersect_stream(&views, policy);
+            for policy in POLICIES {
+                for views in [&pair[..1], &pair[..], &[pair[1], pair[0]]] {
+                    let nf = views.len();
+                    let mut whole = intersect_stream(views, policy);
                     let seq: Vec<_> = whole.by_ref().collect();
                     let seq_stats = whole.stats();
-                    for split in [0u64, 1, 5, 52, 53, 399, 500, 999, 1000] {
+                    for split in [0u64, 1, 5, 7, 52, 53, 399, 500, 999, 1000] {
                         let mut merged = Vec::new();
                         let mut comparisons = 0;
                         let mut matches = 0;
                         for (lo, hi) in [(0, split), (split, 1000)] {
-                            let mut s = intersect_stream_bounded(&views, policy, lo, hi);
+                            let mut s = intersect_stream_bounded(views, policy, lo, hi);
                             merged.extend(s.by_ref());
                             comparisons += s.stats().comparisons;
                             matches += s.stats().matches;
@@ -900,12 +783,9 @@ mod tests {
             .iter()
             .map(|c| fib(c))
             .collect();
-        let view_sets: [Vec<FiberView<'_>>; 2] = [
-            tensors
-                .iter()
-                .map(|t| t.root_fiber_view().unwrap())
-                .collect(),
-            fibers.iter().map(FiberView::Owned).collect(),
+        let view_sets: [Vec<Option<FiberView<'_>>>; 2] = [
+            tensors.iter().map(|t| t.root_fiber_view()).collect(),
+            fibers.iter().map(|f| Some(FiberView::Owned(f))).collect(),
         ];
         for views in &view_sets {
             let mut whole = union_stream(views);

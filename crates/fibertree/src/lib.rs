@@ -52,7 +52,7 @@
 //! ## Quick tour
 //!
 //! ```
-//! use teaal_fibertree::{Tensor, partition::SplitKind, IntersectPolicy, iterate};
+//! use teaal_fibertree::{FiberView, Tensor, partition::SplitKind, IntersectPolicy, iterate};
 //!
 //! // Build the sparse matrix from Fig. 1 of the paper.
 //! let a = teaal_fibertree::tensor::fig1_matrix_a();
@@ -66,36 +66,34 @@
 //! // Co-iteration with an explicit intersection-unit policy:
 //! let at = a.swizzle(&["K", "M"])?;
 //! let b = teaal_fibertree::tensor::fig1_vector_b();
-//! let (matches, stats) = iterate::intersect2(
-//!     at.root_fiber().unwrap(),
-//!     b.root_fiber().unwrap(),
-//!     IntersectPolicy::TwoFinger,
-//! );
-//! assert_eq!(matches.len(), 2); // k = 1, 2 present in both
-//! assert!(stats.comparisons >= 2);
+//! let fibers = [at.root_fiber().unwrap(), b.root_fiber().unwrap()].map(FiberView::Owned);
+//! let mut stream = iterate::intersect_stream(&fibers, IntersectPolicy::TwoFinger);
+//! assert_eq!(stream.by_ref().count(), 2); // k = 1, 2 present in both
+//! assert!(stream.stats().comparisons >= 2);
 //! # use teaal_fibertree::partition;
 //! # Ok::<(), teaal_fibertree::FibertreeError>(())
 //! ```
 //!
-//! The same co-iteration as a lazy stream over compressed storage:
+//! The same co-iteration over compressed storage, the way the simulator's
+//! engine drives it: each match's positions land in a buffer the caller
+//! owns, one slot per fiber, so draining the stream allocates nothing.
 //!
 //! ```
 //! use teaal_fibertree::{CompressedTensor, IntersectPolicy, TensorData};
-//! use teaal_fibertree::iterate::intersect2_stream;
+//! use teaal_fibertree::iterate::intersect_stream;
 //!
 //! let a = CompressedTensor::from_entries(
 //!     "A", &["K"], &[8], vec![(vec![1], 2.0), (vec![5], 3.0)])?;
 //! let b = CompressedTensor::from_entries(
 //!     "B", &["K"], &[8], vec![(vec![5], 4.0), (vec![7], 1.0)])?;
 //! let (da, db) = (TensorData::from(a), TensorData::from(b));
-//! let mut stream = intersect2_stream(
-//!     da.root_fiber_view().unwrap(),
-//!     db.root_fiber_view().unwrap(),
-//!     IntersectPolicy::TwoFinger,
-//! );
-//! let m = stream.next().unwrap();
-//! assert_eq!(m.0.as_point(), Some(5));
-//! assert!(stream.next().is_none());
+//! let fibers = [da.root_fiber_view().unwrap(), db.root_fiber_view().unwrap()];
+//! let mut stream = intersect_stream(&fibers, IntersectPolicy::SkipAhead);
+//! let mut positions = [None; 2];
+//! let m = stream.next_into(&mut positions).unwrap();
+//! assert_eq!(m.as_point(), Some(5));
+//! assert_eq!(positions, [Some(1), Some(0)]);
+//! assert!(stream.next_into(&mut positions).is_none());
 //! assert_eq!(stream.stats().matches, 1);
 //! # Ok::<(), teaal_fibertree::FibertreeError>(())
 //! ```

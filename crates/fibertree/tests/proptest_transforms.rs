@@ -5,9 +5,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use teaal_fibertree::iterate::{intersect2, intersect_many, union_many};
+use teaal_fibertree::iterate::{intersect_stream, union_stream, CoIterStats};
 use teaal_fibertree::partition::{occupancy_boundaries, split_by_boundaries, SplitKind};
-use teaal_fibertree::{Fiber, IntersectPolicy, Shape, Tensor};
+use teaal_fibertree::{Fiber, FiberView, IntersectPolicy, Shape, Tensor};
 
 fn arb_matrix() -> impl Strategy<Value = Tensor> {
     // Up to 40 entries in a 16x12 matrix.
@@ -39,6 +39,23 @@ fn arb_fiber() -> impl Strategy<Value = Fiber> {
         )
         .expect("sorted unique coords")
     })
+}
+
+/// Drains an intersection of owned fibers: matched coordinates and stats.
+fn intersect(fibers: &[&Fiber], policy: IntersectPolicy) -> (Vec<u64>, CoIterStats) {
+    let views: Vec<FiberView<'_>> = fibers.iter().map(|f| FiberView::Owned(f)).collect();
+    let mut s = intersect_stream(&views, policy);
+    let coords = s
+        .by_ref()
+        .map(|(c, _)| c.as_point().expect("points"))
+        .collect();
+    (coords, s.stats())
+}
+
+fn points(f: &Fiber) -> BTreeSet<u64> {
+    f.iter()
+        .map(|e| e.coord.as_point().expect("points"))
+        .collect()
 }
 
 /// Canonical content signature: each leaf keyed by `(root rank letter,
@@ -144,40 +161,54 @@ proptest! {
         }
     }
 
+    /// Every policy finds the set intersection, at arity 2 and 3, and
+    /// charges what its unit would: leader-follower exactly the leader's
+    /// occupancy, skip-ahead never more than two-finger.
     #[test]
     fn intersection_policies_agree_with_set_reference(
         a in arb_fiber(),
         b in arb_fiber(),
+        c in arb_fiber(),
     ) {
-        let ca: BTreeSet<u64> =
-            a.iter().map(|e| e.coord.as_point().expect("points")).collect();
-        let cb: BTreeSet<u64> =
-            b.iter().map(|e| e.coord.as_point().expect("points")).collect();
-        let want: Vec<u64> = ca.intersection(&cb).copied().collect();
+        let want: Vec<u64> = points(&a).intersection(&points(&b)).copied().collect();
+        let want3: Vec<u64> = want
+            .iter()
+            .copied()
+            .filter(|x| points(&c).contains(x))
+            .collect();
+        let (_, two_finger) = intersect(&[&a, &b], IntersectPolicy::TwoFinger);
+        let (_, two_finger3) = intersect(&[&a, &b, &c], IntersectPolicy::TwoFinger);
         for policy in [
             IntersectPolicy::TwoFinger,
             IntersectPolicy::LeaderFollower { leader: 0 },
             IntersectPolicy::LeaderFollower { leader: 1 },
             IntersectPolicy::SkipAhead,
         ] {
-            let (m, stats) = intersect2(&a, &b, policy);
-            let got: Vec<u64> =
-                m.iter().map(|(c, _, _)| c.as_point().expect("points")).collect();
+            let (got, stats) = intersect(&[&a, &b], policy);
             prop_assert_eq!(&got, &want, "{:?}", policy);
             prop_assert_eq!(stats.matches as usize, want.len());
+            let (got3, stats3) = intersect(&[&a, &b, &c], policy);
+            prop_assert_eq!(&got3, &want3, "arity 3 {:?}", policy);
+            match policy {
+                IntersectPolicy::LeaderFollower { leader } => {
+                    let lead = [&a, &b][leader];
+                    prop_assert_eq!(stats.comparisons as usize, lead.occupancy());
+                }
+                IntersectPolicy::SkipAhead => {
+                    prop_assert!(stats.comparisons <= two_finger.comparisons);
+                    prop_assert!(stats3.comparisons <= two_finger3.comparisons);
+                }
+                IntersectPolicy::TwoFinger => {}
+            }
         }
     }
 
     #[test]
     fn union_agrees_with_set_reference(a in arb_fiber(), b in arb_fiber()) {
-        let ca: BTreeSet<u64> =
-            a.iter().map(|e| e.coord.as_point().expect("points")).collect();
-        let cb: BTreeSet<u64> =
-            b.iter().map(|e| e.coord.as_point().expect("points")).collect();
-        let want: Vec<u64> = ca.union(&cb).copied().collect();
-        let (u, _) = union_many(&[&a, &b]);
-        let got: Vec<u64> =
-            u.iter().map(|(c, _)| c.as_point().expect("points")).collect();
+        let want: Vec<u64> = points(&a).union(&points(&b)).copied().collect();
+        let got: Vec<u64> = union_stream(&[Some(FiberView::Owned(&a)), Some(FiberView::Owned(&b))])
+            .map(|(c, _)| c.as_point().expect("points"))
+            .collect();
         prop_assert_eq!(got, want);
     }
 
@@ -187,13 +218,9 @@ proptest! {
         b in arb_fiber(),
         c in arb_fiber(),
     ) {
-        let (m_abc, _) = intersect_many(&[&a, &b, &c], IntersectPolicy::TwoFinger);
-        let (m_cba, _) = intersect_many(&[&c, &b, &a], IntersectPolicy::TwoFinger);
-        let ca: Vec<u64> =
-            m_abc.iter().map(|(x, _)| x.as_point().expect("points")).collect();
-        let cc: Vec<u64> =
-            m_cba.iter().map(|(x, _)| x.as_point().expect("points")).collect();
-        prop_assert_eq!(ca, cc);
+        let (m_abc, _) = intersect(&[&a, &b, &c], IntersectPolicy::TwoFinger);
+        let (m_cba, _) = intersect(&[&c, &b, &a], IntersectPolicy::TwoFinger);
+        prop_assert_eq!(m_abc, m_cba);
     }
 
     #[test]

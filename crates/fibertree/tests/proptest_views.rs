@@ -1,15 +1,16 @@
 //! Property-based tests for the dual storage representations: owned
 //! fibertrees and compressed (CSF) storage must be observationally
 //! identical — same entries after a round-trip, same match streams, and
-//! the same [`CoIterStats`] under every intersection policy.
+//! the same [`CoIterStats`] under every intersection policy — and the
+//! bounded co-iteration streams must partition the unbounded ones.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use teaal_fibertree::iterate::{
-    intersect2, intersect2_stream, intersect_many, intersect_stream, union_many, union_stream,
+    intersect_stream, intersect_stream_bounded, union_stream, CoIterStats,
 };
-use teaal_fibertree::{CompressedTensor, FiberView, IntersectPolicy, Tensor, TensorData};
+use teaal_fibertree::{CompressedTensor, Coord, FiberView, IntersectPolicy, Tensor, TensorData};
 
 /// Up to 50 entries in an 8×8×8 3-tensor, as raw COO.
 fn arb_coo3() -> impl Strategy<Value = Vec<(Vec<u64>, f64)>> {
@@ -36,11 +37,23 @@ fn arb_vector_pair() -> impl Strategy<Value = (Tensor, CompressedTensor)> {
     })
 }
 
-const POLICIES: [IntersectPolicy; 3] = [
+const POLICIES: [IntersectPolicy; 4] = [
     IntersectPolicy::TwoFinger,
     IntersectPolicy::LeaderFollower { leader: 0 },
+    IntersectPolicy::LeaderFollower { leader: 1 },
     IntersectPolicy::SkipAhead,
 ];
+
+/// Drains an intersection stream: matches and stats.
+#[allow(clippy::type_complexity)]
+fn drain(
+    fibers: &[FiberView<'_>],
+    policy: IntersectPolicy,
+) -> (Vec<(Coord, Vec<usize>)>, CoIterStats) {
+    let mut s = intersect_stream(fibers, policy);
+    let out: Vec<_> = s.by_ref().collect();
+    (out, s.stats())
+}
 
 proptest! {
     /// `from_entries → compress → iterate` returns the same entries as
@@ -71,33 +84,25 @@ proptest! {
             da.root_fiber_view().expect("1-tensor"),
             db.root_fiber_view().expect("1-tensor"),
         );
+        let owned_a = FiberView::Owned(oa.root_fiber().expect("1-tensor"));
+        let owned_b = FiberView::Owned(ob.root_fiber().expect("1-tensor"));
         for policy in POLICIES {
-            let (mo, so) = intersect2(
-                oa.root_fiber().expect("1-tensor"),
-                ob.root_fiber().expect("1-tensor"),
-                policy,
-            );
+            let (mo, so) = drain(&[owned_a, owned_b], policy);
             // Compressed × compressed.
-            let mut s = intersect2_stream(va, vb, policy);
-            let mc: Vec<_> = s.by_ref().collect();
+            let (mc, sc) = drain(&[va, vb], policy);
             prop_assert_eq!(&mc, &mo, "{:?}", policy);
-            prop_assert_eq!(s.stats(), so.clone(), "{:?}", policy);
-            // Mixed: owned leader, compressed follower.
-            let mut s = intersect2_stream(
-                FiberView::Owned(oa.root_fiber().expect("1-tensor")),
-                vb,
-                policy,
-            );
-            let mm: Vec<_> = s.by_ref().collect();
+            prop_assert_eq!(sc, so.clone(), "{:?}", policy);
+            // Mixed: owned first fiber, compressed second.
+            let (mm, sm) = drain(&[owned_a, vb], policy);
             prop_assert_eq!(&mm, &mo, "mixed {:?}", policy);
-            prop_assert_eq!(s.stats(), so, "mixed {:?}", policy);
+            prop_assert_eq!(sm, so, "mixed {:?}", policy);
         }
     }
 
-    /// Multi-input intersection cascades charge identical stats lazily
-    /// and eagerly, in both representations.
+    /// Three-input intersection cascades charge identical stats in both
+    /// representations.
     #[test]
-    fn intersect_many_is_representation_independent(
+    fn three_way_intersection_is_representation_independent(
         (oa, ca) in arb_vector_pair(),
         (ob, cb) in arb_vector_pair(),
         (oc, cc) in arb_vector_pair(),
@@ -111,19 +116,46 @@ proptest! {
             .iter()
             .map(|d| d.root_fiber_view().expect("1-tensor"))
             .collect();
+        let owned: Vec<FiberView<'_>> = [&oa, &ob, &oc]
+            .iter()
+            .map(|t| FiberView::Owned(t.root_fiber().expect("1-tensor")))
+            .collect();
         for policy in POLICIES {
-            let (mo, so) = intersect_many(
-                &[
-                    oa.root_fiber().expect("1-tensor"),
-                    ob.root_fiber().expect("1-tensor"),
-                    oc.root_fiber().expect("1-tensor"),
-                ],
-                policy,
-            );
-            let mut s = intersect_stream(&views, policy);
-            let mc: Vec<_> = s.by_ref().collect();
-            prop_assert_eq!(mc, mo, "{:?}", policy);
-            prop_assert_eq!(s.stats(), so, "{:?}", policy);
+            prop_assert_eq!(drain(&views, policy), drain(&owned, policy), "{:?}", policy);
+        }
+    }
+
+    /// Shard exactness: at arity 1 and 2, for every policy and any split
+    /// of the top range into three windows, the bounded streams' matches
+    /// concatenate to the unbounded stream's and their stats sum to its
+    /// stats.
+    #[test]
+    fn bounded_streams_partition_the_unbounded_stream(
+        (_, ca) in arb_vector_pair(),
+        (_, cb) in arb_vector_pair(),
+        s1 in 0u64..210,
+        s2 in 0u64..210,
+    ) {
+        let (da, db) = (TensorData::Compressed(ca), TensorData::Compressed(cb));
+        let pair = [
+            da.root_fiber_view().expect("1-tensor"),
+            db.root_fiber_view().expect("1-tensor"),
+        ];
+        let (s1, s2) = (s1.min(s2), s1.max(s2));
+        for policy in POLICIES {
+            for views in [&pair[..1], &pair[..]] {
+                let (whole, stats) = drain(views, policy);
+                let mut merged = Vec::new();
+                let mut sum = CoIterStats::default();
+                for (lo, hi) in [(0, s1), (s1, s2), (s2, u64::MAX)] {
+                    let mut s = intersect_stream_bounded(views, policy, lo, hi);
+                    merged.extend(s.by_ref());
+                    sum.comparisons += s.stats().comparisons;
+                    sum.matches += s.stats().matches;
+                }
+                prop_assert_eq!(&merged, &whole, "{:?} arity {}", policy, views.len());
+                prop_assert_eq!(&sum, &stats, "{:?} arity {}", policy, views.len());
+            }
         }
     }
 
@@ -133,18 +165,16 @@ proptest! {
         (oa, ca) in arb_vector_pair(),
         (ob, cb) in arb_vector_pair(),
     ) {
-        let (uo, so) = union_many(&[
-            oa.root_fiber().expect("1-tensor"),
-            ob.root_fiber().expect("1-tensor"),
+        let mut so = union_stream(&[
+            Some(FiberView::Owned(oa.root_fiber().expect("1-tensor"))),
+            Some(FiberView::Owned(ob.root_fiber().expect("1-tensor"))),
         ]);
+        let uo: Vec<_> = so.by_ref().collect();
         let (da, db) = (TensorData::Compressed(ca), TensorData::Compressed(cb));
-        let mut s = union_stream(&[
-            da.root_fiber_view().expect("1-tensor"),
-            db.root_fiber_view().expect("1-tensor"),
-        ]);
+        let mut s = union_stream(&[da.root_fiber_view(), db.root_fiber_view()]);
         let uc: Vec<_> = s.by_ref().collect();
         prop_assert_eq!(uc, uo);
-        prop_assert_eq!(s.stats(), so);
+        prop_assert_eq!(s.stats(), so.stats());
     }
 
     /// Hierarchical cursors: walking a 3-tensor leaf-by-leaf through
@@ -179,9 +209,9 @@ proptest! {
     }
 }
 
-/// The eager `LeaderFollower { leader: 1 }` variant has an asymmetric
-/// swap path; pin it separately with plain cases (proptest above covers
-/// leader 0 and the symmetric policies).
+/// `LeaderFollower { leader: 1 }` walks the second fiber but reports
+/// positions in input order; pin it with plain cases in both
+/// representations.
 #[test]
 fn leader_one_swaps_positions_identically() {
     let entries_a: Vec<(Vec<u64>, f64)> =
@@ -196,13 +226,20 @@ fn leader_one_swaps_positions_identically() {
         CompressedTensor::from_entries("B", &["K"], &[64], entries_b).unwrap(),
     );
     let policy = IntersectPolicy::LeaderFollower { leader: 1 };
-    let (mo, so) = intersect2(oa.root_fiber().unwrap(), ob.root_fiber().unwrap(), policy);
-    let mut s = intersect2_stream(
-        ca.root_fiber_view().unwrap(),
-        cb.root_fiber_view().unwrap(),
+    let owned = [
+        FiberView::Owned(oa.root_fiber().unwrap()),
+        FiberView::Owned(ob.root_fiber().unwrap()),
+    ];
+    let (mo, so) = drain(&owned, policy);
+    let (mc, sc) = drain(
+        &[ca.root_fiber_view().unwrap(), cb.root_fiber_view().unwrap()],
         policy,
     );
-    let mc: Vec<_> = s.by_ref().collect();
     assert_eq!(mc, mo);
-    assert_eq!(s.stats(), so);
+    assert_eq!(sc, so);
+    assert_eq!(
+        mo,
+        vec![(Coord::Point(4), vec![1, 0]), (Coord::Point(9), vec![2, 1])]
+    );
+    assert_eq!(so.comparisons, 3, "one probe per element of the leader");
 }

@@ -144,6 +144,22 @@ enum LevelStream<'v> {
     Empty,
 }
 
+impl LevelStream<'_> {
+    /// The next coordinate, with one position per driver written into
+    /// `positions` (a dense level has no drivers).
+    fn next_into(&mut self, positions: &mut [Option<usize>]) -> Option<Coord> {
+        match self {
+            LevelStream::Dense { next, extent } => (*next < *extent).then(|| {
+                *next += 1;
+                Coord::Point(*next - 1)
+            }),
+            LevelStream::Union(u) => u.next_into(positions),
+            LevelStream::Intersect(s) => s.next_into(positions),
+            LevelStream::Empty => None,
+        }
+    }
+}
+
 impl<'p> Engine<'p> {
     /// Creates an engine for one plan.
     pub fn new(
@@ -1051,22 +1067,22 @@ impl<'e, 'p> Exec<'e, 'p> {
         // at the first coordinate past the range.
         let bound = if li == 0 { self.top_bounds } else { None };
 
-        // Identify drivers (accesses co-iterating here with live fibers).
+        // Identify drivers (accesses co-iterating here), each with its
+        // fiber when live.
         let mut driver_idx: Vec<usize> = Vec::new();
+        let mut drivers: Vec<Option<FiberView<'_>>> = Vec::new();
         for (ai, roles) in plan.access_roles.iter().enumerate() {
             if roles.roles[li].contains(&Descent::CoIterate) {
                 driver_idx.push(ai);
+                drivers.push(match state.nodes[ai] {
+                    Some(PayloadView::Fiber(f)) => Some(f),
+                    _ => None,
+                });
             }
         }
+        let live = drivers.iter().flatten().count();
 
         // Open the iteration stream for this level.
-        let live: Vec<(usize, FiberView<'_>)> = driver_idx
-            .iter()
-            .filter_map(|&ai| match state.nodes[ai] {
-                Some(PayloadView::Fiber(f)) => Some((ai, f)),
-                _ => None,
-            })
-            .collect();
         let mut stream = if driver_idx.is_empty() {
             // Dense iteration over the rank's extent (affine kernels).
             let root = lr
@@ -1088,21 +1104,19 @@ impl<'e, 'p> Exec<'e, 'p> {
                 None => LevelStream::Dense { next: 0, extent },
             }
         } else if self.union_mode {
-            if live.is_empty() {
+            if live == 0 {
                 LevelStream::Empty
             } else {
-                let fibers: Vec<FiberView<'_>> = live.iter().map(|(_, f)| *f).collect();
                 LevelStream::Union(match bound {
-                    Some((lo, hi)) => union_stream_bounded(&fibers, lo, hi),
-                    None => union_stream(&fibers),
+                    Some((lo, hi)) => union_stream_bounded(&drivers, lo, hi),
+                    None => union_stream(&drivers),
                 })
             }
         } else {
             // Intersection mode: a dead driver kills the whole subtree.
-            if live.len() != driver_idx.len() {
+            let Some(fibers) = drivers.iter().copied().collect::<Option<Vec<_>>>() else {
                 return Ok(());
-            }
-            let fibers: Vec<FiberView<'_>> = live.iter().map(|(_, f)| *f).collect();
+            };
             LevelStream::Intersect(match bound {
                 Some((lo, hi)) => intersect_stream_bounded(&fibers, self.engine.policy, lo, hi),
                 None => intersect_stream(&fibers, self.engine.policy),
@@ -1112,40 +1126,10 @@ impl<'e, 'p> Exec<'e, 'p> {
         let binds_depth = state.binds.len();
         let mut visits = 0u64;
         let mut pi = 0usize;
-        loop {
-            // Pull the next coordinate, normalizing positions to one
-            // `Option<usize>` per driver (dead union drivers stay `None`).
-            let item = match &mut stream {
-                LevelStream::Dense { next, extent } => {
-                    if next < extent {
-                        let c = Coord::Point(*next);
-                        *next += 1;
-                        Some((c, Vec::new()))
-                    } else {
-                        None
-                    }
-                }
-                LevelStream::Union(u) => u.next().map(|(c, pos)| {
-                    let mut full = Vec::with_capacity(driver_idx.len());
-                    let mut lp = 0usize;
-                    for &ai in &driver_idx {
-                        if live.iter().any(|(lai, _)| *lai == ai) {
-                            full.push(pos[lp]);
-                            lp += 1;
-                        } else {
-                            full.push(None);
-                        }
-                    }
-                    (c, full)
-                }),
-                LevelStream::Intersect(s) => s
-                    .next()
-                    .map(|(c, pos)| (c, pos.into_iter().map(Some).collect())),
-                LevelStream::Empty => None,
-            };
-            let Some((coord, positions)) = item else {
-                break;
-            };
+        // One position slot per driver, refilled by every match (dead
+        // union drivers read `None`).
+        let mut positions: Vec<Option<usize>> = vec![None; driver_idx.len()];
+        while let Some(coord) = stream.next_into(&mut positions) {
             visits += 1;
             inst.rank_advanced(&lr.name);
             // One engine step per loop-rank visit; the token amortizes
@@ -1168,13 +1152,10 @@ impl<'e, 'p> Exec<'e, 'p> {
             let mut dead_product = false;
 
             // Drivers descend.
-            for (di, &ai) in driver_idx.iter().enumerate() {
-                match positions.get(di).copied().flatten() {
+            for ((&ai, fiber), &position) in driver_idx.iter().zip(&drivers).zip(&positions) {
+                match position {
                     Some(p) => {
-                        let (_, fiber) = live
-                            .iter()
-                            .find(|(lai, _)| *lai == ai)
-                            .expect("driver with a position is live");
+                        let fiber = fiber.expect("a driver with a position is live");
                         let pv = fiber.payload_at(p);
                         self.touch(ai, li, fiber.payload_key(p), pv, inst);
                         state.nodes[ai] = Some(pv);
@@ -1280,13 +1261,10 @@ impl<'e, 'p> Exec<'e, 'p> {
         // live operand co-iterates without an intersection unit.
         match &stream {
             LevelStream::Union(u) => {
-                *inst.intersect_by_rank.entry(lr.name.clone()).or_insert(0) += if live.len() > 1 {
-                    u.stats().comparisons
-                } else {
-                    0
-                };
+                *inst.intersect_by_rank.entry(lr.name.clone()).or_insert(0) +=
+                    if live > 1 { u.stats().comparisons } else { 0 };
             }
-            LevelStream::Intersect(s) if live.len() > 1 => {
+            LevelStream::Intersect(s) if live > 1 => {
                 *inst.intersect_by_rank.entry(lr.name.clone()).or_insert(0) +=
                     s.stats().comparisons;
             }

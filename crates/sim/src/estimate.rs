@@ -19,8 +19,13 @@
 //!   reshape extents (occupancy splits consult the modeled occupancy at
 //!   their depth, follower splits adopt the leader's boundary count);
 //!   flattening multiplies extents.
-//! - **Skipping**: leader-follower and skip-ahead intersection charge the
-//!   policy's comparison count, not the two-finger sum.
+//! - **Skipping**: intersection charges what the declared unit would, as
+//!   the engine's cascade does: two-finger the merge's comparisons,
+//!   leader-follower the leader's expected occupancy (the engine charges
+//!   exactly its occupancy, one probe per element), and skip-ahead
+//!   `cmin · (1 + log2(1 + cmax / cmin))`, a model of the engine's one
+//!   comparison per head-to-head comparison (each followed by an
+//!   uncharged jump of the lagging side).
 //! - **Traffic**: buffet epoch dedup, eager subtree fills, LRU cache
 //!   compulsory+capacity misses, and partial-output drains are modeled in
 //!   expectation against the same [`ChannelCfg`] the engine instruments.

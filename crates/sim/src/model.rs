@@ -350,7 +350,9 @@ impl Simulator {
         // Execute the cascade in dependency waves: every Einsum whose
         // producers (data, write-after-write, and learned-extent
         // dependencies) have completed runs alongside the rest of its
-        // wave, on at most `threads` workers. Each Einsum sees exactly
+        // wave, on at most `threads` workers, and the wave's Einsums
+        // split those threads between their shard workers, so a wave
+        // never runs more than `threads` at once. Each Einsum sees exactly
         // the environment and extents its sequential position would —
         // outputs and learned extents of plans *before* it, in plan
         // order — so reports are bit-identical to the sequential
@@ -371,7 +373,9 @@ impl Simulator {
                 .collect();
             debug_assert!(!wave.is_empty(), "intra-cascade dependencies are acyclic");
 
-            let run_one = |i: usize| -> Result<(Instruments, TensorData), SimError> {
+            let width = wave.len();
+            let run_one = |w: usize| -> Result<(Instruments, TensorData), SimError> {
+                let i = wave[w];
                 let plan = &plans[i];
                 // Extents as the sequential run would know them here:
                 // base extents plus those learned from earlier outputs,
@@ -386,8 +390,15 @@ impl Simulator {
                 }
                 let mut instruments = self.build_instruments(plan);
                 let policy = self.intersect_policy(plan);
-                let mut engine =
-                    Engine::new(plan, self.ops, policy, extents).with_threads(self.threads);
+                // Every item of a wave narrower than `threads` runs at
+                // once, sharing the threads; a wider wave runs `threads`
+                // items at a time, one thread each.
+                let share = if width < self.threads {
+                    self.threads / width + usize::from(w < self.threads % width)
+                } else {
+                    1
+                };
+                let mut engine = Engine::new(plan, self.ops, policy, extents).with_threads(share);
                 if let Some(ctx) = &self.context {
                     engine = engine.with_transform_cache(Arc::clone(ctx.transforms()));
                 }
@@ -409,12 +420,9 @@ impl Simulator {
 
             // A panicking Einsum becomes `WorkerPanic` at any thread
             // count; the first failure in plan order ends the wave.
-            let results = par::fan_out(
-                wave.len(),
-                self.threads,
-                |w| run_one(wave[w]),
-                |r| !matches!(r, Ok(Ok(_))),
-            )
+            let results = par::fan_out(wave.len(), self.threads, run_one, |r| {
+                !matches!(r, Ok(Ok(_)))
+            })
             .into_iter()
             .map(|r| SimError::from_item("wave", r));
 

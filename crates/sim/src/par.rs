@@ -33,14 +33,27 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Runs `work(i)` for `i in 0..n` on at most `cap` scoped workers and
-/// returns the results in index order, each item's panic caught as its
+/// Spawned fan-out workers alive now, and the most alive at once.
+static SPAWNED: AtomicUsize = AtomicUsize::new(0);
+static PEAK_SPAWNED: AtomicUsize = AtomicUsize::new(0);
+
+/// The most worker threads [`fan_out`] has had running at once in this
+/// process, across every (nested) fan-out. The caller of a fan-out is one
+/// of its workers, so a process whose fan-outs share `n` threads never
+/// has more than `n - 1` spawned.
+pub fn peak_spawned_workers() -> usize {
+    PEAK_SPAWNED.load(Ordering::Relaxed)
+}
+
+/// Runs `work(i)` for `i in 0..n` on at most `cap` workers and returns
+/// the results in index order, each item's panic caught as its
 /// `Err(message)`.
 ///
-/// Workers claim indices in order from a shared counter (work stealing,
-/// no static chunking, so one slow item never idles the others). With
-/// `cap <= 1` (or `n <= 1`) the items run inline on the caller's thread
-/// and nothing is spawned.
+/// The caller's thread is one of the workers; the other `cap − 1` are
+/// scoped threads. Workers claim indices in order from a shared counter
+/// (work stealing, no static chunking, so one slow item never idles the
+/// others). With `cap <= 1` (or `n <= 1`) the items run inline on the
+/// caller's thread and nothing is spawned.
 ///
 /// `stop` sees the results in index order, over the contiguous
 /// completed prefix only. Once it returns `true` no further index is
@@ -86,31 +99,38 @@ pub fn fan_out<T: Send>(
     });
     let next = AtomicUsize::new(0);
     let stopped = AtomicBool::new(false);
+    let worker = || loop {
+        if stopped.load(Ordering::Relaxed) {
+            break;
+        }
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let result = catch(|| work(i));
+        let mut guard = prefix.lock().expect("fan-out prefix poisoned");
+        let p = &mut *guard;
+        p.slots[i] = Some(result);
+        while !stopped.load(Ordering::Relaxed) && p.seen < n {
+            let Some(done) = &p.slots[p.seen] else {
+                break;
+            };
+            p.seen += 1;
+            if (p.stop)(done) {
+                stopped.store(true, Ordering::Relaxed);
+            }
+        }
+    };
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                if stopped.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = catch(|| work(i));
-                let mut guard = prefix.lock().expect("fan-out prefix poisoned");
-                let p = &mut *guard;
-                p.slots[i] = Some(result);
-                while !stopped.load(Ordering::Relaxed) && p.seen < n {
-                    let Some(done) = &p.slots[p.seen] else {
-                        break;
-                    };
-                    p.seen += 1;
-                    if (p.stop)(done) {
-                        stopped.store(true, Ordering::Relaxed);
-                    }
-                }
+        for _ in 1..workers {
+            s.spawn(|| {
+                let live = SPAWNED.fetch_add(1, Ordering::Relaxed) + 1;
+                PEAK_SPAWNED.fetch_max(live, Ordering::Relaxed);
+                worker();
+                SPAWNED.fetch_sub(1, Ordering::Relaxed);
             });
         }
+        worker();
     });
     let p = prefix.into_inner().expect("fan-out prefix poisoned");
     p.slots
@@ -202,9 +222,18 @@ mod tests {
         let caller = std::thread::current().id();
         let out = fan_out(5, 1, |_| std::thread::current().id(), |_| false);
         assert!(out.into_iter().all(|id| id.unwrap() == caller));
-        // A spawned pool runs elsewhere.
-        let out = fan_out(5, 2, |_| std::thread::current().id(), |_| false);
-        assert!(out.into_iter().all(|id| id.unwrap() != caller));
+        // A cap of 2 is the caller plus one spawned worker: two items
+        // that wait for each other run on exactly those two threads.
+        let both = std::sync::Barrier::new(2);
+        let work = |_| {
+            both.wait();
+            std::thread::current().id()
+        };
+        let ids: Vec<_> = fan_out(2, 2, work, |_| false)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        assert!(ids.contains(&caller) && ids[0] != ids[1], "{ids:?}");
     }
 
     #[test]

@@ -83,12 +83,17 @@ use teaal::sim::{
     EvalContext, EvalLimits, Objective,
 };
 use teaal::workloads::{genmat, io as tio};
+use teaal::CliError;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     match run(&args) {
         Ok(code) => code,
-        Err(msg) => {
+        Err(CliError::Runtime(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
+        Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!(
@@ -233,7 +238,12 @@ fn print_cache_stats() {
     );
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+/// A failure while running well-formed arguments.
+fn runtime(e: impl ToString) -> CliError {
+    CliError::Runtime(e.to_string())
+}
+
+fn run(args: &[String]) -> Result<ExitCode, CliError> {
     let command = args.get(1).ok_or("missing command")?.as_str();
     // The daemon and its client parse their own options (no spec path
     // positional), so they dispatch before the spec is read.
@@ -243,18 +253,18 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         _ => {}
     }
     if !matches!(command, "check" | "run" | "output" | "explore" | "batch") {
-        return Err(format!("unknown command {command}"));
+        return Err(format!("unknown command {command}").into());
     }
     let spec_path = args.get(2).ok_or("missing spec path")?;
-    let source =
-        std::fs::read_to_string(spec_path).map_err(|e| format!("reading {spec_path}: {e}"))?;
+    let source = std::fs::read_to_string(spec_path)
+        .map_err(|e| runtime(format!("reading {spec_path}: {e}")))?;
 
     // Every subcommand evaluates through one staged-pipeline context:
     // SpecSource → ParsedSpec → LoweredPlan → PreparedInputs → SimReport,
     // each stage cached by content hash.
     let ctx = EvalContext::new();
     let requests: Vec<BatchRequest> = if command == "batch" {
-        parse_requests(&source)?
+        parse_requests(&source).map_err(runtime)?
     } else {
         Vec::new()
     };
@@ -277,16 +287,16 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
         }
         if !errors.is_empty() {
-            return Err(errors.join("\n"));
+            return Err(runtime(errors.join("\n")));
         }
         specs
     } else {
-        vec![ctx.parse(&source).map_err(|e| e.to_string())?]
+        vec![ctx.parse(&source).map_err(runtime)?]
     };
 
     if command == "check" {
         let spec = &specs[0];
-        let plans = teaal::core::ir::lower(spec).map_err(|e| e.to_string())?;
+        let plans = teaal::core::ir::lower(spec).map_err(runtime)?;
         println!(
             "spec OK: {} einsum(s), {} block(s) after fusion",
             plans.len(),
@@ -319,8 +329,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             "--tensor" => {
                 let kv = args.get(i + 1).ok_or("--tensor needs NAME=FILE")?;
                 let (name, path) = kv.split_once('=').ok_or("--tensor needs NAME=FILE")?;
-                let f = File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-                let t = tio::read_compressed(BufReader::new(f), name).map_err(|e| e.to_string())?;
+                let f = File::open(path).map_err(|e| runtime(format!("opening {path}: {e}")))?;
+                let t = tio::read_compressed(BufReader::new(f), name).map_err(runtime)?;
                 tensors.push(t.into());
                 i += 2;
             }
@@ -341,7 +351,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 if rows == 0 || cols == 0 {
                     return Err(format!(
                         "--random {name}={rows}x{cols}: both dimensions must be at least 1"
-                    ));
+                    )
+                    .into());
                 }
                 let t = genmat::uniform_compressed(
                     name,
@@ -429,7 +440,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     Some("time") => Objective::Time,
                     Some("energy") => Objective::Energy,
                     Some("traffic") => Objective::Traffic,
-                    other => return Err(format!("unknown objective {other:?}")),
+                    other => return Err(format!("unknown objective {other:?}").into()),
                 };
                 i += 2;
             }
@@ -457,8 +468,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     .ok_or("--margin needs a number >= 1.0")?;
                 i += 2;
             }
-            other => return Err(format!("unknown option {other}")),
+            other => return Err(format!("unknown option {other}").into()),
         }
+    }
+    if command == "explore" && !extents.is_empty() {
+        return Err("explore does not support --extent (extents come from inputs)".into());
     }
 
     // Apply the cache-byte bound to the shared context now (it governs
@@ -477,7 +491,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 &ctx,
                 &specs[0],
                 &tensors,
-                &extents,
                 ops,
                 threads,
                 einsum,
@@ -492,7 +505,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         _ => {
             let mut sim = ctx
                 .simulator(&specs[0])
-                .map_err(|e| e.to_string())?
+                .map_err(runtime)?
                 .with_ops(ops)
                 .with_threads(threads);
             if let Some(t) = &token {
@@ -512,7 +525,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     for (name, tensor) in &report.outputs {
                         println!("# --- {name} ---");
                         tio::write_tensor_data(std::io::stdout().lock(), tensor)
-                            .map_err(|e| e.to_string())?;
+                            .map_err(runtime)?;
                     }
                     Ok(ExitCode::SUCCESS)
                 }
@@ -524,7 +537,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     if cache_stats {
         print_cache_stats();
     }
-    result
+    result.map_err(runtime)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -532,16 +545,12 @@ fn run_explore(
     ctx: &Arc<EvalContext>,
     spec: &TeaalSpec,
     tensors: &[TensorData],
-    extents: &[(String, u64)],
     ops: OpTable,
     threads: usize,
     einsum: Option<String>,
     fast: bool,
     mut explore_cfg: teaal::sim::ExploreConfig,
 ) -> Result<(), String> {
-    if !extents.is_empty() {
-        return Err("explore does not support --extent (extents come from inputs)".into());
-    }
     let target = match einsum {
         Some(name) => name,
         None => {

@@ -26,6 +26,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::request::ErrorCode;
 use crate::wire::{self, Frame, FrameKind, Stream, WireError};
+use crate::CliError;
 
 /// Cap on one backoff sleep, whatever the exponent says.
 const MAX_BACKOFF: Duration = Duration::from_millis(2000);
@@ -149,14 +150,15 @@ fn send_with_retries(cfg: &ClientConfig, request: &Frame, rng: &mut StdRng) -> O
 ///
 /// # Errors
 ///
-/// A usage message for unknown or malformed options.
-pub fn run_client(args: &[String]) -> Result<ExitCode, String> {
+/// [`CliError::Usage`] for unknown or malformed options,
+/// [`CliError::Runtime`] when the spec file cannot be read.
+pub fn run_client(args: &[String]) -> Result<ExitCode, CliError> {
     let op = args
         .get(2)
         .ok_or("client needs an operation: ping, health, or eval")?
         .as_str();
     if !matches!(op, "ping" | "health" | "eval") {
-        return Err(format!("unknown client operation {op:?}"));
+        return Err(format!("unknown client operation {op:?}").into());
     }
     let mut cfg = ClientConfig::default();
     let mut spec_path: Option<String> = None;
@@ -224,7 +226,7 @@ pub fn run_client(args: &[String]) -> Result<ExitCode, String> {
             "--extent" => {
                 let kv = take(i).ok_or_else(|| need("RANK=N"))?;
                 if !kv.contains('=') {
-                    return Err("--extent needs RANK=N".to_string());
+                    return Err("--extent needs RANK=N".into());
                 }
                 eval_fields.push(("extent".to_string(), kv));
                 i += 2;
@@ -232,7 +234,7 @@ pub fn run_client(args: &[String]) -> Result<ExitCode, String> {
             "--loop-order" => {
                 let kv = take(i).ok_or_else(|| need("EINSUM=R1,R2,…"))?;
                 if !kv.contains('=') {
-                    return Err("--loop-order needs EINSUM=R1,R2,…".to_string());
+                    return Err("--loop-order needs EINSUM=R1,R2,…".into());
                 }
                 eval_fields.push(("loop_order".to_string(), kv));
                 i += 2;
@@ -241,20 +243,21 @@ pub fn run_client(args: &[String]) -> Result<ExitCode, String> {
                 spec_path = Some(other.to_string());
                 i += 1;
             }
-            other => return Err(format!("unknown client option {other}")),
+            other => return Err(format!("unknown client option {other}").into()),
         }
     }
 
     let mut request = Frame::new(FrameKind::Req).field("op", op);
     if op == "eval" {
         let path = spec_path.ok_or("client eval needs a spec path")?;
-        let source = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+        let source = std::fs::read_to_string(&path)
+            .map_err(|e| CliError::Runtime(format!("reading {path}: {e}")))?;
         request = request.field("spec", source);
         for (key, value) in &eval_fields {
             request = request.field(key, value.clone());
         }
     } else if !eval_fields.is_empty() {
-        return Err(format!("client {op} takes no eval options"));
+        return Err(format!("client {op} takes no eval options").into());
     }
 
     // Jitter only decorrelates concurrent clients; wall-clock nanos are

@@ -67,6 +67,29 @@ pub use teaal_graph as graph;
 pub use teaal_sim as sim;
 pub use teaal_workloads as workloads;
 
+/// Why a `teaal` command line failed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CliError {
+    /// The arguments are malformed; the binary follows the message with
+    /// its usage text.
+    Usage(String),
+    /// Well-formed arguments whose work failed (an unreadable file, an
+    /// invalid spec, a tripped deadline); no usage text follows.
+    Runtime(String),
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Usage(message)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(message: &str) -> Self {
+        CliError::Usage(message.to_string())
+    }
+}
+
 /// The most common imports in one place.
 pub mod prelude {
     pub use teaal_accel::{GraphDesign, SpmspmAccel};

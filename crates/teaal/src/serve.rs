@@ -64,6 +64,7 @@ use teaal_workloads::{genmat, io as tio};
 
 use crate::request::{evaluate_request, parse_ops, ErrorCode, EvalFailure, RequestOverrides};
 use crate::wire::{self, Frame, FrameKind, Stream, WireError};
+use crate::CliError;
 
 /// How often the accept loop polls for new connections and the
 /// shutdown flag.
@@ -802,8 +803,10 @@ pub fn serve(cfg: ServeConfig) -> Result<ExitCode, String> {
 ///
 /// # Errors
 ///
-/// A usage message for unknown or malformed options.
-pub fn run_serve(args: &[String]) -> Result<ExitCode, String> {
+/// [`CliError::Usage`] for unknown or malformed options,
+/// [`CliError::Runtime`] when a tensor file cannot be read or the daemon
+/// cannot start.
+pub fn run_serve(args: &[String]) -> Result<ExitCode, CliError> {
     let mut cfg = ServeConfig::default();
     let mut seed = 0u64;
     // `--random` needs rank names before generation, and generation
@@ -879,8 +882,10 @@ pub fn run_serve(args: &[String]) -> Result<ExitCode, String> {
             "--tensor" => {
                 let kv = args.get(i + 1).ok_or_else(|| need("NAME=FILE"))?;
                 let (name, path) = kv.split_once('=').ok_or("--tensor needs NAME=FILE")?;
-                let f = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-                let t = tio::read_compressed(BufReader::new(f), name).map_err(|e| e.to_string())?;
+                let f = std::fs::File::open(path)
+                    .map_err(|e| CliError::Runtime(format!("opening {path}: {e}")))?;
+                let t = tio::read_compressed(BufReader::new(f), name)
+                    .map_err(|e| CliError::Runtime(e.to_string()))?;
                 cfg.tensors.push(t.into());
                 i += 2;
             }
@@ -949,7 +954,7 @@ pub fn run_serve(args: &[String]) -> Result<ExitCode, String> {
                 cfg.max_cache_bytes = Some(mb.saturating_mul(1024 * 1024));
                 i += 2;
             }
-            other => return Err(format!("unknown serve option {other}")),
+            other => return Err(format!("unknown serve option {other}").into()),
         }
     }
     for (name, ranks, rows, cols, nnz) in randoms {
@@ -965,5 +970,5 @@ pub fn run_serve(args: &[String]) -> Result<ExitCode, String> {
             .into(),
         );
     }
-    serve(cfg)
+    serve(cfg).map_err(CliError::Runtime)
 }

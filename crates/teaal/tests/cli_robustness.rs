@@ -172,6 +172,50 @@ fn deadline_flag_returns_structured_error() {
 }
 
 #[test]
+fn usage_follows_argument_errors_only() {
+    const USAGE: &str = "usage: teaal";
+    let spec = temp_file("usage", SPMSPM);
+    let spec = spec.to_str().unwrap();
+    for args in [
+        &["frobnicate", spec][..],
+        &["run", spec, "--no-such-flag"],
+        &["run", spec, "--threads", "0"],
+        &["serve", "--workers", "none"],
+    ] {
+        let out = teaal(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(
+            stderr_of(&out).contains(USAGE),
+            "{args:?} is an argument error and prints usage: {}",
+            stderr_of(&out)
+        );
+    }
+    let missing = std::env::temp_dir().join("teaal-cli-robustness-no-such-spec.yaml");
+    for args in [
+        &[
+            "run",
+            spec,
+            "--random",
+            "A=32x32:200",
+            "--random",
+            "B=32x24:150",
+            "--deadline-ms",
+            "0",
+        ][..],
+        &["check", missing.to_str().unwrap()],
+    ] {
+        let out = teaal(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(
+            stderr_of(&out).starts_with("error: ") && !stderr_of(&out).contains(USAGE),
+            "{args:?} fails at run time and prints no usage: {}",
+            stderr_of(&out)
+        );
+    }
+    let _ = std::fs::remove_file(spec);
+}
+
+#[test]
 fn tiny_cache_budget_evicts_while_batch_results_stay_identical() {
     let spec = temp_file("cache-budget", SPMSPM);
     let requests = temp_file(

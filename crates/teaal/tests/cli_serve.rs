@@ -357,3 +357,30 @@ fn garbage_bytes_get_a_protocol_error_and_daemon_survives() {
     let ping = client(&daemon.addr(), &["ping"]);
     assert!(ping.status.success(), "daemon survives garbage");
 }
+
+#[test]
+fn deeply_nested_spec_is_a_bad_request_and_daemon_survives() {
+    let daemon = DaemonGuard::start(&["--workers", "1"], "");
+    // 200 000 nested inline sequences: recursing once per `[` used to
+    // overflow the worker's stack and abort the whole daemon.
+    let path =
+        std::env::temp_dir().join(format!("teaal-cli-serve-{}-deep.yaml", std::process::id()));
+    let depth = 200_000;
+    std::fs::write(
+        &path,
+        format!("einsum: {}{}\n", "[".repeat(depth), "]".repeat(depth)),
+    )
+    .expect("write deep spec");
+    let deep = client(&daemon.addr(), &["eval", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(deep.status.code(), Some(2), "{}", stderr_of(&deep));
+    assert!(
+        stderr_of(&deep).contains("error[bad-request]") && stderr_of(&deep).contains("nesting"),
+        "the deep spec is rejected by the parser: {}",
+        stderr_of(&deep)
+    );
+
+    let ping = client(&daemon.addr(), &["ping"]);
+    assert!(ping.status.success(), "{}", stderr_of(&ping));
+    assert_eq!(stdout_of(&ping).trim(), "pong");
+}
